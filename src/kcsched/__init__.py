@@ -48,7 +48,6 @@ from .primal_dual import (
     DualEntry,
     DualSolution,
     GrowRecord,
-    GrowState,
     SolveOutcome,
     check_charging,
     check_dual_feasible,

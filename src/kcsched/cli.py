@@ -91,7 +91,16 @@ def _run_checks(inst: Instance, algo: str, outcome) -> dict[str, bool]:
     checks: dict[str, bool] = {}
     due = outcome.due_dates
     if algo in ("pd", "rounded"):
-        checks["dual_feasible"] = check_dual_feasible(outcome.dual, inst).feasible
+        if algo == "pd":
+            dual_report = check_dual_feasible(outcome.dual, inst)
+        else:  # the rounded dual is feasible for the modified costs on the grid
+            dual_report = check_dual_feasible(
+                outcome.dual,
+                inst,
+                times=outcome.partition.points,
+                cost_funcs=list(outcome.rounded.cost_funcs),
+            )
+        checks["dual_feasible"] = dual_report.feasible
         checks["charging"] = check_charging(outcome.dual, due, inst).ok
         checks["primal_feasible"] = check_primal_feasible(
             due, inst, dual=outcome.dual

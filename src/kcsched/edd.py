@@ -9,6 +9,8 @@ the witness schedule is preemptive EDD.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -82,22 +84,41 @@ def interval_residual_demand(r: int, t: int, due: list[int] | DueDates, inst: In
     return max(r + load - t + 1, 0)
 
 
-def _interval_check_times(r: int, due: list[int] | DueDates, inst: Instance) -> list[int]:
-    # Residual demand of [r, t) decreases between times where the covered
-    # set changes, so only t = r + 1 and t = due_j + 1 can attain a maximum.
-    times = {r + 1}
-    for job in inst.jobs:
-        if r <= job.release <= due[job.id] and due[job.id] + 1 <= inst.horizon:
-            times.add(due[job.id] + 1)
-    return sorted(s for s in times if r < s <= inst.horizon)
+def peak_demand(
+    due: list[int] | DueDates, inst: Instance, times: Sequence[int] | None = None
+) -> tuple[int, int, int]:
+    """(demand, t, r) maximizing the residual demand of [r, t) over release
+    dates r and times t on the sorted grid `times` (default 1..T); ties
+    prefer the largest t, then the largest r.  (0, -1, -1) when every
+    demand is zero.
+
+    The demand falls with t between times where a job joins the
+    interval's load, so only the first grid time at or after r + 1 and
+    after each due date + 1 can attain a maximum: one sorted sweep per
+    release date.
+    """
+    grid = range(1, inst.horizon + 1) if times is None else times
+    by_due = sorted(range(inst.n), key=lambda j: due[j])
+    best = (0, -1, -1)
+    for r in inst.release_dates:
+        members = [j for j in by_due if r <= inst.jobs[j].release <= due[j]]
+        load = 0
+        k = 0
+        for start in [r + 1] + [due[j] + 1 for j in members]:
+            if start > grid[-1]:
+                break
+            t = grid[bisect_left(grid, start)]
+            while k < len(members) and due[members[k]] < t:
+                load += inst.jobs[members[k]].p
+                k += 1
+            d = r + load - t + 1
+            if d > 0 and (d, t, r) > best:
+                best = (d, t, r)
+    return best
 
 
 def all_interval_demands_zero(due: list[int] | DueDates, inst: Instance) -> bool:
-    for r in inst.release_dates:
-        for t in _interval_check_times(r, due, inst):
-            if interval_residual_demand(r, t, due, inst) > 0:
-                return False
-    return True
+    return peak_demand(due, inst)[0] == 0
 
 
 def _require_assigned(due: DueDates, inst: Instance) -> None:

@@ -8,20 +8,20 @@ keeps every demand covered.  The raised duals form an exact rational
 certificate: the EDD schedule built from the surviving due dates costs
 less than four times the dual value.
 
-All dual values and slacks are exact `fractions.Fraction`s; tightness
-tests are equalities, so floating point is never used.
+Both phases are views of the engine in `local_ratio`: the raised duals
+are its local-ratio scales and pruning is its reverse delete.  All dual
+values and slacks are exact `fractions.Fraction`s; tightness tests are
+equalities, so floating point is never used.
 """
 
 from __future__ import annotations
 
 import json
-import random
-from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .edd import Schedule, edd_schedule
-from .errors import InfeasibleInstanceError
+from .edd import Schedule, edd_schedule, peak_demand
 from .instance import (
     INFEASIBLE,
     Cost,
@@ -30,12 +30,12 @@ from .instance import (
     JobSet,
     residual_demand,
 )
+from .local_ratio import ResidualCosts, raise_due_dates, reverse_delete
 
 __all__ = [
     "DualEntry",
     "DualSolution",
     "GrowRecord",
-    "GrowState",
     "SolveOutcome",
     "grow",
     "prune",
@@ -103,7 +103,7 @@ class GrowState:
 
     frontier: list[int]
     assignments: list[tuple[int, int, int]]  # (job, time, previous frontier)
-    times: tuple[int, ...]
+    times: Sequence[int]
 
 
 @dataclass(frozen=True)
@@ -117,191 +117,59 @@ class SolveOutcome:
     dual: DualSolution
 
 
-def _default_grid(inst: Instance) -> tuple[int, ...]:
-    return tuple(range(1, inst.horizon + 1))
-
-
 def grow(
     inst: Instance,
     *,
-    times: tuple[int, ...] | None = None,
+    times: Sequence[int] | None = None,
     cost_funcs: list[CostFunction] | None = None,
     debug: bool = False,
 ) -> tuple[GrowState, DualSolution, GrowTrace]:
-    """Dual growing phase.
+    """Dual growing phase: the local-ratio engine read as a dual ascent.
 
     Each iteration picks the time with the largest residual demand
     (ties to the largest time), raises its dual variable until some
     constraint with a finite right-hand side becomes tight, and commits
     the tight (job, time) pair with the largest time, then smallest id.
-    Terminates when every residual demand on the grid is zero.
+    Terminates when every residual demand on the grid (1..T unless
+    `times` is given) is zero.
     """
     if inst.has_releases:
         raise ValueError("grow requires an instance without release dates")
-    tgrid = _default_grid(inst) if times is None else tuple(times)
-    costs = [j.cost for j in inst.jobs] if cost_funcs is None else list(cost_funcs)
-    T = inst.horizon
-    n = inst.n
-    p = inst.processing()
-    m = len(tgrid)
-
-    frontier = [0] * n
-    paid = [[Fraction(0)] * m for _ in range(n)]
-    paid_event_times: list[int] = []  # times of entries with y > 0
+    g = ResidualCosts(inst, cost_funcs, times)
+    frames, frontier = raise_due_dates(g, inst, check=debug)
     entries: list[DualEntry] = []
     records: list[GrowRecord] = []
-    assignments: list[tuple[int, int, int]] = []
-
-    while True:
-        # Residual demand profile over the grid.
-        cover = [0] * m
-        for j in range(n):
-            if frontier[j]:
-                hi = bisect_right(tgrid, frontier[j])
-                for pos in range(hi):
-                    cover[pos] += p[j]
-        best_pos = -1
-        best_d = 0
-        for pos in range(m):
-            d = T - tgrid[pos] + 1 - cover[pos]
-            if d > 0 and d >= best_d:
-                best_d = d
-                best_pos = pos
-        if best_pos < 0:
-            break
-
-        t0 = tgrid[best_pos]
-        mask = 0
-        for j in range(n):
-            if frontier[j] >= t0:
-                mask |= 1 << j
-        covered = JobSet(mask, cover[best_pos])
-        d0 = best_d
-
-        tight = _find_tightening(
-            inst, tgrid, costs, paid, paid_event_times, frontier, t0, best_pos, d0
+    for f in frames:
+        d = f.dec
+        covered = JobSet.from_ids(
+            (j for j, due in enumerate(f.due_snapshot) if due >= d.t_star), inst
         )
-        if tight is None:
-            raise InfeasibleInstanceError(
-                "instance infeasible under cost functions: no dual constraint "
-                f"can become tight for time {t0}"
-            )
-        alpha, tight_job, tight_time = tight
-        assert alpha >= 0
-
-        entries.append(DualEntry(t0, covered, alpha))
-        if alpha > 0:
-            paid_event_times.append(t0)
-            for j in range(n):
-                if frontier[j] >= t0:
-                    continue
-                add = min(p[j], d0) * alpha
-                row = paid[j]
-                for pos in range(best_pos, m):
-                    row[pos] += add
+        entries.append(DualEntry(d.t_star, covered, d.alpha))
         records.append(
-            GrowRecord(len(records) + 1, t0, covered, d0, alpha, tight_job, tight_time)
+            GrowRecord(len(records) + 1, d.t_star, covered, d.demand, d.alpha, d.job, d.time)
         )
-        assert tight_time > frontier[tight_job]
-        assignments.append((tight_job, tight_time, frontier[tight_job]))
-        frontier[tight_job] = tight_time
-
-        if debug:
+    if debug:
+        for k in range(1, len(entries) + 1):
             report = check_dual_feasible(
-                DualSolution.from_entries(entries, inst),
+                DualSolution.from_entries(entries[:k], inst),
                 inst,
-                times=tgrid,
-                cost_funcs=costs,
+                times=g.times,
+                cost_funcs=g.base,
             )
-            assert report.feasible, f"dual infeasible after iteration {len(records)}: {report.violation}"
-
-    state = GrowState(frontier, assignments, tgrid)
-    dual = DualSolution.from_entries(entries, inst)
-    return state, dual, tuple(records)
-
-
-def _find_tightening(inst, tgrid, costs, paid, paid_event_times, frontier, t0, pos0, d0):
-    """Smallest dual increase that makes some constraint (job, s >= t0)
-    tight, with the tight pair chosen as largest s, then smallest job."""
-    m = len(tgrid)
-    best_alpha: Fraction | None = None
-    best_s = -1
-    best_j = -1
-    for j in range(inst.n):
-        if frontier[j] >= t0:
-            continue
-        w = min(inst.jobs[j].p, d0)
-        starts = {pos0}
-        for b in costs[j].times:
-            if t0 < b <= tgrid[-1]:
-                starts.add(bisect_left(tgrid, b))
-        for te in paid_event_times:
-            if t0 < te <= tgrid[-1]:
-                starts.add(bisect_left(tgrid, te))
-        ordered = sorted(starts)
-        # Slack is piecewise constant between starts; scan one point per piece.
-        pieces: list[tuple[Fraction, int]] = []  # (slack, right end time)
-        for i, pos in enumerate(ordered):
-            s = tgrid[pos]
-            f = costs[j].value_at(s)
-            if f is INFEASIBLE:
-                break  # costs are nondecreasing: every later piece is infeasible
-            right_pos = (ordered[i + 1] - 1) if i + 1 < len(ordered) else m - 1
-            slack = f - paid[j][pos]
-            assert slack >= 0
-            pieces.append((slack, tgrid[right_pos]))
-        if not pieces:
-            continue
-        job_alpha = min(sl for sl, _ in pieces) / w
-        tight_bound = job_alpha * w
-        job_s = max(right for sl, right in pieces if sl == tight_bound)
-        if (
-            best_alpha is None
-            or job_alpha < best_alpha
-            or (job_alpha == best_alpha and job_s > best_s)
-        ):
-            best_alpha, best_s, best_j = job_alpha, job_s, j
-    if best_alpha is None:
-        return None
-    return best_alpha, best_j, best_s
+            assert report.feasible, f"dual infeasible after iteration {k}: {report.violation}"
+    assignments = [(f.dec.job, f.dec.time, f.old_due) for f in frames]
+    state = GrowState(frontier, assignments, g.times)
+    return state, DualSolution.from_entries(entries, inst), tuple(records)
 
 
 def prune(state: GrowState, inst: Instance) -> tuple[int, ...]:
     """Reverse-delete: drop committed pairs whose removal keeps every
-    demand covered; each job ends up with exactly one due date."""
-    tgrid = state.times
-    T = inst.horizon
-    n = inst.n
-    p = inst.processing()
-    cur = list(state.frontier)
-    kept: dict[int, int] = {}
-    for job, t, prev_t in reversed(state.assignments):
-        if cur[job] > t:
-            # A later pair for this job survived, so this one is redundant.
-            continue
-        assert cur[job] == t
-        # Times this pair newly covered: grid points in (prev_t, t].  The
-        # earlier pair at prev_t still covers everything up to prev_t.
-        lo = bisect_right(tgrid, prev_t)
-        hi = bisect_right(tgrid, t)
-        removable = True
-        for pos in range(lo, hi):
-            s = tgrid[pos]
-            others = sum(p[i] for i in range(n) if i != job and cur[i] >= s)
-            if others < T - s + 1:
-                removable = False
-                break
-        if removable:
-            cur[job] = prev_t
-        else:
-            assert job not in kept
-            kept[job] = t
-    assert len(kept) == n, "pruning must leave exactly one pair per job"
-    due = tuple(kept[j] for j in range(n))
-    for pos in range(len(tgrid)):
-        s = tgrid[pos]
-        assert sum(p[j] for j in range(n) if due[j] >= s) >= T - s + 1
-    return due
+    demand on the grid covered; each job ends up with exactly one due date."""
+    due = list(state.frontier)
+    reverse_delete(due, state.assignments, inst, state.times)
+    assert all(d >= 1 for d in due), "pruning must leave exactly one pair per job"
+    assert peak_demand(due, inst, state.times)[0] == 0
+    return tuple(due)
 
 
 def solve_primal_dual(inst: Instance, *, debug: bool = False) -> SolveOutcome:
@@ -335,7 +203,7 @@ def check_dual_feasible(
     dual: DualSolution,
     inst: Instance,
     *,
-    times: tuple[int, ...] | None = None,
+    times: Sequence[int] | None = None,
     cost_funcs: list[CostFunction] | None = None,
 ) -> DualFeasibilityReport:
     """Verify every dual constraint with exact rationals.
@@ -345,7 +213,7 @@ def check_dual_feasible(
     the job's cost at s; infeasible right-hand sides are vacuous.
     Reports the first violation in (job, s) scan order.
     """
-    tgrid = _default_grid(inst) if times is None else tuple(times)
+    tgrid = range(1, inst.horizon + 1) if times is None else times
     costs = [j.cost for j in inst.jobs] if cost_funcs is None else list(cost_funcs)
     for j in range(inst.n):
         events = sorted(
@@ -379,15 +247,18 @@ def check_primal_feasible(
     inst: Instance,
     *,
     dual: DualSolution | None = None,
-    samples: int = 64,
-    seed: int = 0,
 ) -> PrimalFeasibilityReport:
     """Check the due-date assignment against the covering constraints.
 
-    All base demands are checked exactly.  The strengthened inequalities
-    with truncated sizes are checked for every set in the dual support
-    plus `samples` seeded random (time, set) pairs; checking all of them
-    would be exponential.
+    All base demands are checked exactly, and that decides every
+    strengthened (knapsack-cover) inequality as well.  Take a set A and
+    a time t with residual demand D = T - t + 1 - p(A) > 0, and let S be
+    the jobs outside A due at or after t.  Base coverage at t gives
+    p(S) >= T - t + 1 - p(A) = D.  Either some job of S has p >= D, so
+    its truncated size alone reaches D, or no size in S is truncated and
+    the truncated sum is p(S) >= D.  The inequalities of the sets in the
+    dual support, if given, are still evaluated so that a failing report
+    names them too.
     """
     if inst.has_releases:
         raise ValueError("check_primal_feasible applies to instances without release dates")
@@ -402,26 +273,17 @@ def check_primal_feasible(
         rhs = T - t + 1
         if lhs < rhs:
             violations.append((t, None, lhs, rhs))
-    pairs: list[tuple[int, JobSet]] = []
-    if dual is not None:
-        pairs.extend((e.t, e.covered) for e in dual.entries)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        t = rng.randint(1, T)
-        mask = rng.getrandbits(inst.n)
-        total = sum(p[j] for j in range(inst.n) if mask >> j & 1)
-        pairs.append((t, JobSet(mask, total)))
-    for t, covered in pairs:
-        rhs = residual_demand(t, covered, inst)
+    for e in dual.entries if dual is not None else ():
+        rhs = residual_demand(e.t, e.covered, inst)
         if rhs == 0:
             continue
         lhs = sum(
             min(p[j], rhs)
             for j in range(inst.n)
-            if not covered.contains(j) and due[j] >= t
+            if not e.covered.contains(j) and due[j] >= e.t
         )
         if lhs < rhs:
-            violations.append((t, covered.ids(), lhs, rhs))
+            violations.append((e.t, e.covered.ids(), lhs, rhs))
     return PrimalFeasibilityReport(not violations, tuple(violations))
 
 

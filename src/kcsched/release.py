@@ -2,32 +2,23 @@
 
 Residual demand now lives on intervals [r, t): work released at or
 after r but due before t, measured against the room between r and t.
-The decomposition picks the interval with the largest residual demand
-over all release dates; the guarantee degrades to 4 kappa, where kappa
-is the number of distinct release dates.
+The engine in `local_ratio` already searches these intervals over all
+release dates; the guarantee degrades to 4 kappa, where kappa is the
+number of distinct release dates.
 """
 
 from __future__ import annotations
 
-from .edd import (
-    all_interval_demands_zero,
-    interval_residual_demand,
-    preemptive_edd,
-    Schedule,
-)
-from .errors import InfeasibleInstanceError, InstanceError
+from .edd import interval_residual_demand, peak_demand
+from .errors import InstanceError
 from .instance import Instance
-from .local_ratio import (
-    Decomposition,
-    LocalRatioOutcome,
-    LocalRatioRecord,
-    ResidualCosts,
-    _Frame,
-    _charging_bound,
-    _tightest_pair,
-)
+from .local_ratio import LocalRatioOutcome, _solve, decompose
 
 __all__ = ["residual_demand_rt", "decompose_release", "solve_release"]
+
+# The engine's split is the interval split: active jobs are released
+# inside [r*, t*) and due before t*.
+decompose_release = decompose
 
 
 def residual_demand_rt(r: int, t: int, due: tuple[int, ...], inst: Instance) -> int:
@@ -43,54 +34,17 @@ def _argmax_interval(
     due: list[int], inst: Instance, *, full_scan: bool = False
 ) -> tuple[int, int, int]:
     """(demand, t, r) maximizing interval residual demand; ties prefer the
-    largest t, then the largest r.  The restricted scan visits only times
-    where the covered set changes; the full scan is the debug oracle."""
+    largest t, then the largest r.  The default is the engine's sweep
+    `edd.peak_demand`; the full scan over every (r, t) is its oracle."""
+    if not full_scan:
+        return peak_demand(due, inst)
     best = (0, -1, -1)
     for r in inst.release_dates:
-        if full_scan:
-            candidates = range(r + 1, inst.horizon + 1)
-        else:
-            candidates = _interval_candidates(r, due, inst)
-        for t in candidates:
+        for t in range(r + 1, inst.horizon + 1):
             d = interval_residual_demand(r, t, due, inst)
             if d > 0 and (d, t, r) > best:
                 best = (d, t, r)
     return best
-
-
-def _interval_candidates(r: int, due: list[int], inst: Instance) -> list[int]:
-    # Between times where a job joins the interval's covered set the
-    # demand falls by one per step, so maxima occur right after a due
-    # date or at the very start of the interval.
-    times = {r + 1}
-    for job in inst.jobs:
-        if r <= job.release <= due[job.id] and r < due[job.id] + 1 <= inst.horizon:
-            times.add(due[job.id] + 1)
-    return sorted(t for t in times if r < t <= inst.horizon)
-
-
-def decompose_release(g: ResidualCosts, due: list[int], inst: Instance) -> Decomposition:
-    """Split the residual costs at the interval of maximum residual demand.
-
-    Active jobs are released inside [r*, t*) and due before t*; their
-    model coefficient is their size truncated to the interval's demand.
-    """
-    d0, t_star, r_star = _argmax_interval(due, inst)
-    if d0 == 0:
-        raise ValueError("decompose requires an infeasible assignment")
-    weights = tuple(
-        (j, min(inst.jobs[j].p, d0))
-        for j in range(inst.n)
-        if r_star <= inst.jobs[j].release < t_star and due[j] < t_star
-    )
-    best = _tightest_pair(g, weights, t_star, inst)
-    if best is None:
-        raise InfeasibleInstanceError(
-            f"instance infeasible under cost functions: no job can newly cover "
-            f"interval [{r_star}, {t_star})"
-        )
-    alpha, job, time = best
-    return Decomposition(t_star, d0, alpha, weights, job, time, r_star=r_star)
 
 
 def solve_release(inst: Instance, *, check: bool = True) -> LocalRatioOutcome:
@@ -101,54 +55,4 @@ def solve_release(inst: Instance, *, check: bool = True) -> LocalRatioOutcome:
     criterion holds, then undoes raises that feasibility can spare.  The
     returned schedule is the preemptive EDD witness.
     """
-    n = inst.n
-    factor = 4 * inst.kappa
-    g = ResidualCosts(inst)
-    due = [job.release for job in inst.jobs]
-    frames: list[_Frame] = []
-    max_depth = n * inst.horizon
-    while not all_interval_demands_zero(due, inst):
-        if check:
-            for j in range(n):
-                assert g.value(j, due[j]) == 0
-                assert due[j] >= inst.jobs[j].release
-        dec = decompose_release(g, due, inst)
-        frames.append(_Frame(dec, due[dec.job], tuple(due)))
-        g.apply(dec)
-        if check:
-            g.assert_nonnegative(tuple(j for j, _ in dec.weights))
-            assert g.value(dec.job, dec.time) == 0
-        assert dec.time > due[dec.job]
-        due[dec.job] = dec.time
-        assert len(frames) <= max_depth, "due dates must rise every call"
-
-    rho = list(due)
-    reversed_records: list[LocalRatioRecord] = []
-    for depth in range(len(frames) - 1, -1, -1):
-        frame = frames[depth]
-        saved = rho[frame.dec.job]
-        rho[frame.dec.job] = frame.old_due
-        kept = all_interval_demands_zero(rho, inst)
-        if not kept:
-            rho[frame.dec.job] = saved
-        if check:
-            _charging_bound(frame, rho, factor)
-            assert all(frame.due_snapshot[j] <= rho[j] for j in range(n))
-        reversed_records.append(
-            LocalRatioRecord(
-                depth + 1, frame.dec.t_star, frame.dec.alpha,
-                frame.dec.job, frame.dec.time, kept, frame.dec.r_star,
-            )
-        )
-    trace = tuple(reversed(reversed_records))
-
-    assignment_cost = 0
-    for j in range(n):
-        v = inst.jobs[j].cost.value_at(rho[j])
-        assert isinstance(v, int)
-        assignment_cost += v
-    schedule = preemptive_edd(tuple(rho), inst)
-    assert isinstance(schedule, Schedule), "feasible due dates must yield a preemptive schedule"
-    cost = schedule.total_cost
-    assert isinstance(cost, int) and cost <= assignment_cost
-    return LocalRatioOutcome(tuple(rho), assignment_cost, schedule, cost, trace)
+    return _solve(inst, check=check, release=True)

@@ -71,6 +71,20 @@ def test_solve_rounded_zero_costs(capsys, tmp_path):
     assert json.loads(out)["cost"] == 0
 
 
+def test_rounded_check_uses_the_rounded_grid(capsys, tmp_path):
+    # the rounded dual certifies the modified costs on the partition grid;
+    # against the base costs on 1..T it would overshoot at t = 1
+    path = tmp_path / "one.json"
+    path.write_text('{"jobs":[{"p":4,"cost":[[1,9],[2,12],[3,15]]}]}')
+    argv = ["--algo", "rounded", "--epsilon", "1", str(path)]
+    code, out, _ = run(capsys, ["solve", "--check", *argv])
+    assert code == 0
+    assert json.loads(out)["checks"]["dual_feasible"] is True
+    code, out, _ = run(capsys, ["verify", *argv])
+    assert code == 0
+    assert "PASS dual_feasible" in out
+
+
 def test_solve_release_algo(capsys, tmp_path):
     inst = gen_random(RandomSpec(seed=3, n=3, p_max=2, v_max=5, kappa=2))
     path = tmp_path / "rel.json"

@@ -16,6 +16,7 @@ from kcsched.local_ratio import (
 )
 from kcsched.oracle import exact_opt
 from kcsched.primal_dual import solve_primal_dual
+from kcsched.release import solve_release
 
 
 def brute_force_alpha(g, due, inst, t_star, weights):
@@ -101,18 +102,21 @@ def test_solve_vs_oracle_randoms():
         assert out.cost <= out.assignment_cost <= 4 * opt
 
 
-def test_both_schemes_bounded_but_not_identical():
-    # the two schemes share the 4x guarantee; equal outputs are not required
-    agree = 0
+def test_schemes_are_identical():
+    # primal-dual, local ratio and the release-date solver at kappa = 1 are
+    # one algorithm: same due dates and the same (t, job, time, alpha) steps
     for seed in range(30):
         inst = gen_random(RandomSpec(seed=seed, n=seed % 5 + 2, p_max=4, v_max=9))
         opt = exact_opt(inst).opt_cost
         pd = solve_primal_dual(inst)
         lr = solve_local_ratio(inst)
+        rel = solve_release(inst)
         assert pd.primal_cost <= 4 * opt
         assert lr.assignment_cost <= 4 * opt
-        agree += pd.due_dates == lr.due_dates
-    assert agree >= 0  # no equality requirement either way
+        assert pd.due_dates == lr.due_dates == rel.due_dates
+        steps = [(r.t, r.tight_job, r.tight_time, r.alpha) for r in pd.trace]
+        assert steps == [(r.t_star, r.job, r.time, r.alpha) for r in lr.trace]
+        assert steps == [(r.t_star, r.job, r.time, r.alpha) for r in rel.trace]
 
 
 def test_trace_records_and_export(tight4):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -204,11 +205,28 @@ def test_check_primal_requires_assigned_dates(tight4):
         check_primal_feasible((0, 11, 16, 16), tight4)
 
 
-def test_check_primal_sampling_is_deterministic(tight4):
-    out = solve_primal_dual(tight4)
-    a = check_primal_feasible(out.due_dates, tight4, dual=out.dual, seed=5)
-    b = check_primal_feasible(out.due_dates, tight4, dual=out.dual, seed=5)
-    assert a == b
+def test_check_primal_base_coverage_decides_every_truncated_inequality():
+    # exhaustive on small instances: every due-date vector, every set A
+    # and every time t of the knapsack-cover relaxation
+    verdicts = []
+    for seed in range(30):
+        inst = gen_random(RandomSpec(seed=seed, n=seed % 3 + 1, p_max=3, v_max=5))
+        T = inst.horizon
+        p = inst.processing()
+        for due in itertools.product(range(1, T + 1), repeat=inst.n):
+            truncated = True
+            for t in range(1, T + 1):
+                for mask in range(1 << inst.n):
+                    d = T - t + 1 - sum(p[j] for j in range(inst.n) if mask >> j & 1)
+                    lhs = sum(
+                        min(p[j], d)
+                        for j in range(inst.n)
+                        if not mask >> j & 1 and due[j] >= t
+                    )
+                    truncated = truncated and (d <= 0 or lhs >= d)
+            assert check_primal_feasible(due, inst).feasible == truncated, (seed, due)
+            verdicts.append(truncated)
+    assert len(verdicts) == 2805 and 0 < sum(verdicts) < len(verdicts)
 
 
 def test_check_charging_strict(tight4):

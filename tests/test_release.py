@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from kcsched.edd import Schedule, feasible_assignment, preemptive_edd
+from kcsched.edd import (
+    Schedule,
+    feasible_assignment,
+    interval_residual_demand,
+    peak_demand,
+    preemptive_edd,
+)
 from kcsched.errors import InstanceError
 from kcsched.generators import RandomSpec, gen_random
 from kcsched.instance import CostFunction, Instance, Job
@@ -79,6 +85,22 @@ def test_argmax_restricted_equals_full_scan():
             fast = _argmax_interval(due, inst)
             slow = _argmax_interval(due, inst, full_scan=True)
             assert fast == slow
+
+
+def test_peak_on_a_sparse_grid_equals_scan_of_its_times():
+    rng = random.Random(13)
+    for inst in release_suite(80):
+        for _ in range(10):
+            due = [rng.randint(inst.jobs[j].release, inst.horizon) for j in range(inst.n)]
+            size = rng.randint(1, inst.horizon)
+            grid = sorted({1, *rng.sample(range(1, inst.horizon + 1), size)})
+            best = (0, -1, -1)
+            for r in inst.release_dates:
+                for t in grid:
+                    d = interval_residual_demand(r, t, due, inst) if t > r else 0
+                    if d > 0:
+                        best = max(best, (d, t, r))
+            assert peak_demand(due, inst, grid) == best
 
 
 def test_single_violated_interval_is_argmax():
