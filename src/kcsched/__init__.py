@@ -28,12 +28,10 @@ from .instance import (
     Instance,
     Job,
     JobSet,
-    cost_at,
     demand,
     parse_instance,
     residual_demand,
     serialize_instance,
-    truncated_size,
 )
 from .local_ratio import (
     Decomposition,
@@ -42,6 +40,7 @@ from .local_ratio import (
     decompose,
     lr_trace_to_jsonl,
     solve_local_ratio,
+    solve_release,
 )
 from .oracle import OracleResult, exact_opt, exact_opt_release
 from .primal_dual import (
@@ -57,7 +56,6 @@ from .primal_dual import (
     solve_primal_dual,
     trace_to_jsonl,
 )
-from .release import decompose_release, residual_demand_rt, solve_release
 from .rounding import (
     IntervalPartition,
     RoundedInstance,

@@ -13,7 +13,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from .errors import (
 )
 from .generators import RandomSpec, gen_random, gen_tight, gen_tight_shifted
 from .instance import Instance, parse_instance, serialize_instance
-from .local_ratio import lr_trace_to_jsonl, solve_local_ratio
+from .local_ratio import lr_trace_to_jsonl, solve_local_ratio, solve_release
 from .oracle import exact_opt, exact_opt_release
 from .primal_dual import (
     check_charging,
@@ -35,7 +34,6 @@ from .primal_dual import (
     solve_primal_dual,
     trace_to_jsonl,
 )
-from .release import solve_release
 from .rounding import solve_rounded
 
 EXIT_OK = 0
@@ -145,8 +143,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-def _compare_one(task: tuple[str, bool]) -> list[dict[str, object]]:
-    path, with_opt = task
+def _compare_one(path: str, with_opt: bool) -> list[dict[str, object]]:
     inst = _load(path)
     algos = ["release"] if inst.has_releases else ["pd", "lr"]
     opt = _oracle_cost(inst) if with_opt else None
@@ -167,13 +164,7 @@ def _compare_one(task: tuple[str, bool]) -> list[dict[str, object]]:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    tasks = [(path, args.with_opt) for path in args.instances]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            grouped = list(pool.map(_compare_one, tasks))
-    else:
-        grouped = [_compare_one(task) for task in tasks]
-    rows = [row for group in grouped for row in group]
+    rows = [row for path in args.instances for row in _compare_one(path, args.with_opt)]
     columns = ["instance", "algo", "cost", "dual", "ratio", "opt", "cost_over_opt"]
     cells = [[_cell(row[c]) for c in columns] for row in rows]
     if args.tsv:
@@ -267,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("instances", nargs="+")
     compare.add_argument("--with-opt", action="store_true")
     compare.add_argument("--tsv", action="store_true")
-    compare.add_argument("--jobs", type=int, default=1, help="worker processes")
     compare.set_defaults(func=cmd_compare)
 
     gen = sub.add_parser("gen", help="generate an instance")

@@ -4,7 +4,9 @@ A due-date assignment maps each job to a completion deadline in [1, T]
 (0 meaning unassigned).  Without release dates, feasibility means the
 jobs due before each time t fit into the first t - 1 slots; with
 release dates it means no interval [r, t) carries leftover demand, and
-the witness schedule is preemptive EDD.
+the witness schedule is preemptive EDD.  No function here walks the
+horizon 1..T; each works on the jobs' release dates, due dates and
+completions.
 """
 
 from __future__ import annotations
@@ -117,10 +119,6 @@ def peak_demand(
     return best
 
 
-def all_interval_demands_zero(due: list[int] | DueDates, inst: Instance) -> bool:
-    return peak_demand(due, inst)[0] == 0
-
-
 def _require_assigned(due: DueDates, inst: Instance) -> None:
     if len(due) != inst.n:
         raise ValueError(f"expected {inst.n} due dates, got {len(due)}")
@@ -140,7 +138,7 @@ def feasible_assignment(due: DueDates, inst: Instance) -> bool:
         return False
     if not inst.has_releases:
         return base_demands_covered(due, inst)
-    return all_interval_demands_zero(due, inst)
+    return peak_demand(due, inst)[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -148,26 +146,14 @@ def feasible_assignment(due: DueDates, inst: Instance) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _first_uncovered_time(due: DueDates, inst: Instance) -> int:
-    cover = [0] * (inst.horizon + 2)
-    for j, d in enumerate(due):
-        if d >= 1:
-            cover[min(d, inst.horizon)] += inst.jobs[j].p
-    suffix = 0
-    best = inst.horizon + 1
-    for t in range(inst.horizon, 0, -1):
-        suffix += cover[t]
-        if suffix < inst.horizon - t + 1:
-            best = t
-    return best
-
-
 def edd_schedule(due: DueDates, inst: Instance) -> Schedule:
     """Nonpreemptive EDD schedule (no release dates, no idle time).
 
     Jobs run in order of (due date, id); every completion lands at or
     before its due date, so the total cost never exceeds the cost of
-    the assignment itself.
+    the assignment itself.  An infeasible assignment raises with the
+    first uncovered time: one past the due date of the first job that
+    misses it, since every job before it met its own.
     """
     if inst.has_releases:
         raise ValueError("edd_schedule requires an instance without release dates")
@@ -182,7 +168,7 @@ def edd_schedule(due: DueDates, inst: Instance) -> Schedule:
         completions[j] = clock
         segments.append((j, start, clock))
         if clock > due[j]:
-            raise InfeasibleAssignmentError(_first_uncovered_time(due, inst))
+            raise InfeasibleAssignmentError(due[j] + 1)
     total = cost_sum(inst.jobs[j].cost.value_at(completions[j]) for j in range(inst.n))
     return Schedule(tuple(segments), tuple(completions), total)
 
@@ -195,29 +181,6 @@ def _merge_segments(raw: list[tuple[int, int, int]]) -> tuple[tuple[int, int, in
         else:
             merged.append((j, s, e))
     return tuple(merged)
-
-
-def _preemptive_unit_sweep(due: DueDates, inst: Instance) -> tuple[list, list[int]]:
-    remaining = inst.processing()
-    completions = [0] * inst.n
-    segments = []
-    unfinished = inst.n
-    t = 0
-    while unfinished and t < inst.horizon:
-        pick = -1
-        for j in range(inst.n):
-            if remaining[j] and inst.jobs[j].release <= t:
-                if pick < 0 or (due[j], j) < (due[pick], pick):
-                    pick = j
-        if pick >= 0:
-            segments.append((pick, t, t + 1))
-            remaining[pick] -= 1
-            if remaining[pick] == 0:
-                completions[pick] = t + 1
-                unfinished -= 1
-        t += 1
-    assert unfinished == 0
-    return segments, completions
 
 
 def _preemptive_event_sweep(due: DueDates, inst: Instance) -> tuple[list, list[int]]:
@@ -252,22 +215,17 @@ def _preemptive_event_sweep(due: DueDates, inst: Instance) -> tuple[list, list[i
     return segments, completions
 
 
-def preemptive_edd(
-    due: DueDates, inst: Instance, *, unit_sweep: bool = False
-) -> Schedule | EddMiss:
+def preemptive_edd(due: DueDates, inst: Instance) -> Schedule | EddMiss:
     """Preemptive earliest-due-date sweep over [0, T].
 
     At every moment the released, unfinished job with the earliest due
     date (ties by id) runs.  Returns the schedule if all due dates are
-    met, otherwise the first miss by (due date, id).  The unit-time
-    sweep is the reference implementation; the default event-driven
-    sweep is semantically identical.
+    met, otherwise the first miss by (due date, id).  The sweep jumps
+    from release to release and completion to completion, so its work
+    does not depend on T.
     """
     _require_assigned(due, inst)
-    if unit_sweep:
-        raw, completions = _preemptive_unit_sweep(due, inst)
-    else:
-        raw, completions = _preemptive_event_sweep(due, inst)
+    raw, completions = _preemptive_event_sweep(due, inst)
     missed = [j for j in range(inst.n) if completions[j] > due[j]]
     if missed:
         j = min(missed, key=lambda j: (due[j], j))

@@ -26,10 +26,7 @@ __all__ = [
     "JobSet",
     "demand",
     "residual_demand",
-    "truncated_size",
-    "cost_at",
     "cost_sum",
-    "is_infeasible",
     "parse_instance",
     "serialize_instance",
 ]
@@ -67,10 +64,6 @@ def _get_infeasible() -> _Infeasible:
 
 
 Cost = Union[int, _Infeasible]
-
-
-def is_infeasible(value: Any) -> bool:
-    return value is INFEASIBLE
 
 
 def cost_sum(values: Iterable[Cost]) -> Cost:
@@ -244,18 +237,6 @@ def demand(t: int, inst: Instance) -> int:
 def residual_demand(t: int, covered: JobSet, inst: Instance) -> int:
     """Demand at t remaining once the jobs in `covered` count toward it."""
     return max(demand(t, inst) - covered.total_size, 0)
-
-
-def truncated_size(job: Job, t: int, covered: JobSet, inst: Instance) -> int:
-    """Effective contribution of `job` to the residual demand at t."""
-    if covered.contains(job.id):
-        raise InstanceError(f"job {job.id} is already in the covered set")
-    return min(job.p, residual_demand(t, covered, inst))
-
-
-def cost_at(job: Job, t: int) -> Cost:
-    """Cost of finishing `job` at time t (0 at t = 0 for every job)."""
-    return job.cost.value_at(t)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,11 @@ undone in reverse order whenever feasibility survives.
 The scales are exactly the raised duals of the primal-dual scheme and
 the undo pass is its reverse delete (Bar-Yehuda and Rawitz, 2005), so
 `primal_dual.grow` and `prune` are views of this engine on the grid
-1..T or on a compressed grid, and `release.solve_release` is the same
-run over several release dates.
+1..T or on a compressed grid, and `solve_release` is the same run over
+several release dates, where the residual demand lives on intervals
+[r, t) and the guarantee degrades to 4 kappa.  The grid is only ever
+bisected, never walked: every step visits the breakpoints, charge
+thresholds and due dates, so the work does not depend on T.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ __all__ = [
     "raise_due_dates",
     "reverse_delete",
     "solve_local_ratio",
+    "solve_release",
     "lr_trace_to_jsonl",
 ]
 
@@ -268,6 +272,17 @@ def solve_local_ratio(inst: Instance, *, check: bool = True) -> LocalRatioOutcom
     if inst.has_releases:
         raise ValueError("solve_local_ratio requires an instance without release dates")
     return _solve(inst, check=check, release=False)
+
+
+def solve_release(inst: Instance, *, check: bool = True) -> LocalRatioOutcome:
+    """Local-ratio solve with release dates; cost within 4 kappa of optimum.
+
+    Starts from the release-date vector itself (instance validation
+    guarantees zero cost there) and raises due dates until no interval
+    [r, t) carries residual demand, then undoes raises that feasibility
+    can spare.  The returned schedule is the preemptive EDD witness.
+    """
+    return _solve(inst, check=check, release=True)
 
 
 def _solve(inst: Instance, *, check: bool, release: bool) -> LocalRatioOutcome:

@@ -17,6 +17,7 @@ equalities, so floating point is never used.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -208,10 +209,16 @@ def check_dual_feasible(
 ) -> DualFeasibilityReport:
     """Verify every dual constraint with exact rationals.
 
-    For each job j and time s, the weighted sum of raised duals whose
-    time is at most s and whose set excludes j must stay at or below
-    the job's cost at s; infeasible right-hand sides are vacuous.
-    Reports the first violation in (job, s) scan order.
+    For each job j and grid time s (1..T unless `times` is given), the
+    weighted sum of raised duals whose time is at most s and whose set
+    excludes j must stay at or below the job's cost at s; infeasible
+    right-hand sides are vacuous.  Reports the first violation in
+    (job, s) scan order.
+
+    The left side only changes at the first grid time at or after a dual
+    entry time, and the cost is nonnegative and never falls.  So a
+    violation at s also holds at the last such time at or before s, and
+    only those times are visited.
     """
     tgrid = range(1, inst.horizon + 1) if times is None else times
     costs = [j.cost for j in inst.jobs] if cost_funcs is None else list(cost_funcs)
@@ -223,7 +230,7 @@ def check_dual_feasible(
         )
         lhs = Fraction(0)
         idx = 0
-        for s in tgrid:
+        for s in sorted({tgrid[bisect_left(tgrid, t)] for t, _ in events if t <= tgrid[-1]}):
             while idx < len(events) and events[idx][0] <= s:
                 lhs += events[idx][1]
                 idx += 1
@@ -250,7 +257,12 @@ def check_primal_feasible(
 ) -> PrimalFeasibilityReport:
     """Check the due-date assignment against the covering constraints.
 
-    All base demands are checked exactly, and that decides every
+    Base coverage at t, the size of the jobs due at or after t, only
+    drops right after a due date while the demand T - t + 1 falls by one
+    per step.  So it is checked at t = 1 and at each due date + 1 within
+    the horizon, and a base violation is reported at the first time of
+    each uncovered run.  All base demands are thereby checked exactly,
+    and that decides every
     strengthened (knapsack-cover) inequality as well.  Take a set A and
     a time t with residual demand D = T - t + 1 - p(A) > 0, and let S be
     the jobs outside A due at or after t.  Base coverage at t gives
@@ -268,11 +280,15 @@ def check_primal_feasible(
     T = inst.horizon
     p = inst.processing()
     violations = []
-    for t in range(1, T + 1):
-        lhs = sum(p[j] for j in range(inst.n) if due[j] >= t)
-        rhs = T - t + 1
-        if lhs < rhs:
-            violations.append((t, None, lhs, rhs))
+    by_due = sorted(range(inst.n), key=lambda j: due[j])
+    lhs = inst.total_processing
+    k = 0
+    for t in sorted({1, *(d + 1 for d in due if d < T)}):
+        while k < inst.n and due[by_due[k]] < t:
+            lhs -= p[by_due[k]]
+            k += 1
+        if lhs < T - t + 1:
+            violations.append((t, None, lhs, T - t + 1))
     for e in dual.entries if dual is not None else ():
         rhs = residual_demand(e.t, e.covered, inst)
         if rhs == 0:

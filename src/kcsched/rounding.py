@@ -11,7 +11,7 @@ most 1 + epsilon while the grid stays polynomially small.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -81,7 +81,9 @@ class IntervalPartition:
         return out
 
     def right_end(self, left: int) -> int:
-        idx = self.points.index(left)
+        idx = bisect_left(self.points, left)
+        if idx == len(self.points) or self.points[idx] != left:
+            raise ValueError(f"{left} is not a left endpoint of the partition")
         if idx + 1 < len(self.points):
             return self.points[idx + 1] - 1
         return self.horizon

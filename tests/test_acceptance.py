@@ -18,7 +18,7 @@ from kcsched.cli import main as cli_main
 from kcsched.edd import Schedule, feasible_assignment, preemptive_edd
 from kcsched.generators import RandomSpec, gen_random, gen_tight
 from kcsched.instance import INFEASIBLE, serialize_instance
-from kcsched.local_ratio import lr_trace_to_jsonl, solve_local_ratio
+from kcsched.local_ratio import lr_trace_to_jsonl, solve_local_ratio, solve_release
 from kcsched.oracle import exact_opt, exact_opt_release
 from kcsched.primal_dual import (
     DualSolution,
@@ -28,7 +28,6 @@ from kcsched.primal_dual import (
     solve_primal_dual,
     trace_to_jsonl,
 )
-from kcsched.release import solve_release
 from kcsched.rounding import solve_rounded
 
 SUITE_SIZE = 500

@@ -1,12 +1,39 @@
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kcsched
 from kcsched.cli import main
 from kcsched.generators import RandomSpec, gen_random
 from kcsched.instance import serialize_instance
+
+from conftest import instances
+
+BIG = 10**9
+# three jobs of size 10^9: T = 3 * 10^9, or 4 * 10^9 with job 1 released at 10^9
+BIG_INSTANCE = {"jobs": [
+    {"p": BIG, "cost": [[BIG, 5], [2 * BIG, 9]]},
+    {"p": BIG, "cost": [[2 * BIG + 1, 7]]},
+    {"p": BIG, "cost": [[1, 1], [3 * BIG, 20]]},
+]}
+ALGO_ARGS = {
+    "pd": ["--algo", "pd"],
+    "lr": ["--algo", "lr"],
+    "release": ["--algo", "release"],
+    "rounded": ["--algo", "rounded", "--epsilon", "1/10"],
+}
 
 
 @pytest.fixture
@@ -173,3 +200,46 @@ def test_gen_random_deterministic_output(capsys):
     _, out1, _ = run(capsys, ["gen", "random", "--seed", "1", "--n", "6"])
     _, out2, _ = run(capsys, ["gen", "random", "--seed", "1", "--n", "6"])
     assert out1 == out2
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("algo", sorted(ALGO_ARGS))
+def test_checks_do_not_depend_on_the_horizon(tmp_path, algo, command):
+    doc = copy.deepcopy(BIG_INSTANCE)
+    if algo == "release":
+        doc["jobs"][1]["release"] = BIG
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path), *ALGO_ARGS[algo]]
+    if command == "solve":
+        argv += ["--check", "--stable"]
+    src = str(Path(kcsched.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kcsched.cli", *argv],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+# A check that walked 1..T would not return here at all; the subprocess
+# test above bounds the time.
+@settings(max_examples=40, deadline=None)
+@given(
+    st.booleans().flatmap(
+        lambda rel: instances(
+            max_n=4, max_p=10**12, max_value=10**6, releases=rel, allow_infeasible=True
+        )
+    ),
+)
+def test_huge_processing_times_exit_ok_or_infeasible(inst):
+    algos = ["release"] if inst.has_releases else sorted(ALGO_ARGS)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inst.json"
+        path.write_text(serialize_instance(inst))
+        for algo in algos:
+            for argv in (["solve", str(path), "--check"], ["verify", str(path)]):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                    code = main([*argv, *ALGO_ARGS[algo]])
+                assert code in (0, 3), (algo, out.getvalue())

@@ -26,6 +26,43 @@ def _two_jobs(p0, p1, r0=0, r1=0):
     return Instance((Job(0, p0, CostFunction(()), r0), Job(1, p1, CostFunction(()), r1)))
 
 
+def unit_sweep_edd(due, inst):
+    """Dense oracle for `preemptive_edd`: one time unit at a time over
+    [0, T], running the released unfinished job of earliest (due, id)."""
+    remaining = inst.processing()
+    completions = [0] * inst.n
+    segments = []
+    for t in range(inst.horizon):
+        ready = [j for j in range(inst.n) if remaining[j] and inst.jobs[j].release <= t]
+        if not ready:
+            continue
+        j = min(ready, key=lambda j: (due[j], j))
+        if segments and segments[-1][0] == j and segments[-1][2] == t:
+            segments[-1] = (j, segments[-1][1], t + 1)
+        else:
+            segments.append((j, t, t + 1))
+        remaining[j] -= 1
+        if remaining[j] == 0:
+            completions[j] = t + 1
+    assert not any(remaining)
+    missed = [j for j in range(inst.n) if completions[j] > due[j]]
+    if missed:
+        j = min(missed, key=lambda j: (due[j], j))
+        return EddMiss(j, due[j])
+    total = cost_sum(inst.jobs[j].cost.value_at(completions[j]) for j in range(inst.n))
+    return Schedule(tuple(segments), tuple(completions), total)
+
+
+def first_uncovered_time(due, inst):
+    """Dense oracle: the smallest t whose demand T - t + 1 exceeds the
+    size of the jobs due at or after t, or T + 1 if there is none."""
+    T = inst.horizon
+    for t in range(1, T + 1):
+        if sum(job.p for job in inst.jobs if due[job.id] >= t) < T - t + 1:
+            return t
+    return T + 1
+
+
 def test_feasible_examples(pair_instance):
     assert feasible_assignment((3, 2), pair_instance) is True
     inst = _two_jobs(2, 2)
@@ -93,6 +130,21 @@ def test_edd_infeasible_reports_first_violated_time():
     assert info.value.time == 2
 
 
+def test_edd_infeasible_time_is_the_dense_first_uncovered_time():
+    misses = 0
+    for seed in range(20):
+        inst = gen_random(RandomSpec(seed=seed, n=seed % 3 + 1, p_max=3))
+        for due in itertools.product(range(1, inst.horizon + 1), repeat=inst.n):
+            try:
+                edd_schedule(due, inst)
+                got = inst.horizon + 1
+            except InfeasibleAssignmentError as exc:
+                got = exc.time
+                misses += 1
+            assert got == first_uncovered_time(due, inst), (seed, due)
+    assert misses == 1438
+
+
 def test_edd_no_idle(tight4):
     sched = edd_schedule((11, 11, 16, 16), tight4)
     clock = 0
@@ -138,11 +190,8 @@ def test_feasibility_criterion_equals_simulation(inst, rng):
     due = tuple(rng.randint(1, inst.horizon) for _ in range(inst.n))
     by_criterion = feasible_assignment(due, inst)
     sim = preemptive_edd(due, inst)
-    unit = preemptive_edd(due, inst, unit_sweep=True)
     assert by_criterion == isinstance(sim, Schedule)
-    assert type(sim) is type(unit)
-    if isinstance(sim, Schedule):
-        assert sim == unit
+    assert sim == unit_sweep_edd(due, inst)
 
 
 @settings(max_examples=60, deadline=None)

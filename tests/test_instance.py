@@ -10,12 +10,10 @@ from kcsched.instance import (
     Instance,
     Job,
     JobSet,
-    cost_at,
     demand,
     parse_instance,
     residual_demand,
     serialize_instance,
-    truncated_size,
 )
 
 from conftest import instances
@@ -45,21 +43,12 @@ def test_residual_demand_examples(tight4):
     assert residual_demand(9, everyone, tight4) == 0
 
 
-def test_truncated_size_examples(tight4):
-    job = tight4.jobs[0]
-    assert truncated_size(job, 11, JobSet.from_ids([2], tight4), tight4) == 2
-    assert truncated_size(job, 1, JobSet.empty(), tight4) == 4
-    assert truncated_size(job, 16, JobSet.from_ids([1, 2, 3], tight4), tight4) == 0
-    with pytest.raises(InstanceError):
-        truncated_size(job, 1, JobSet.from_ids([0], tight4), tight4)
-
-
 def test_cost_at_examples(tight4):
-    assert cost_at(tight4.jobs[2], 9) == 0
-    assert cost_at(tight4.jobs[0], 12) is INFEASIBLE
-    assert cost_at(tight4.jobs[0], 0) == 0
+    assert tight4.jobs[2].cost.value_at(9) == 0
+    assert tight4.jobs[0].cost.value_at(12) is INFEASIBLE
+    assert tight4.jobs[0].cost.value_at(0) == 0
     zero = Job(0, 1, CostFunction(()))
-    assert cost_at(zero, 1) == 0
+    assert zero.cost.value_at(1) == 0
 
 
 def test_infeasible_ordering():
@@ -134,7 +123,7 @@ def test_parse_rejects_nonzero_cost_at_release():
 
 def test_release_at_zero_needs_no_breakpoint_shift():
     inst = parse_instance('{"jobs":[{"p":1,"cost":[[1,7]]}]}')
-    assert cost_at(inst.jobs[0], 1) == 7
+    assert inst.jobs[0].cost.value_at(1) == 7
 
 
 def test_job_ids_must_match_positions():
@@ -168,9 +157,3 @@ def test_residual_monotone_in_set(inst):
                 small = JobSet.from_ids(sub, inst)
                 grown = JobSet.from_ids(set(sub) | {0}, inst)
                 assert residual_demand(t, grown, inst) <= residual_demand(t, small, inst)
-                for job in inst.jobs:
-                    if small.contains(job.id):
-                        continue
-                    ts = truncated_size(job, t, small, inst)
-                    assert ts <= job.p
-                    assert ts <= residual_demand(t, small, inst)

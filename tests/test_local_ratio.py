@@ -13,10 +13,10 @@ from kcsched.local_ratio import (
     decompose,
     lr_trace_to_jsonl,
     solve_local_ratio,
+    solve_release,
 )
 from kcsched.oracle import exact_opt
 from kcsched.primal_dual import solve_primal_dual
-from kcsched.release import solve_release
 
 
 def brute_force_alpha(g, due, inst, t_star, weights):

@@ -2,18 +2,23 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcsched.edd import feasible_assignment
 from kcsched.errors import InfeasibleInstanceError
 from kcsched.generators import RandomSpec, gen_random, gen_tight
-from kcsched.instance import CostFunction, Instance, Job, JobSet
+from kcsched.instance import INFEASIBLE, CostFunction, Instance, Job, JobSet, residual_demand
 from kcsched.oracle import exact_opt
 from kcsched.primal_dual import (
     DualEntry,
+    DualFeasibilityReport,
     DualSolution,
+    PrimalFeasibilityReport,
     check_charging,
     check_dual_feasible,
     check_primal_feasible,
@@ -22,6 +27,9 @@ from kcsched.primal_dual import (
     solve_primal_dual,
     trace_to_jsonl,
 )
+from kcsched.rounding import solve_rounded
+
+from conftest import instances
 
 
 def expected_tight_trace(p):
@@ -227,6 +235,125 @@ def test_check_primal_base_coverage_decides_every_truncated_inequality():
             assert check_primal_feasible(due, inst).feasible == truncated, (seed, due)
             verdicts.append(truncated)
     assert len(verdicts) == 2805 and 0 < sum(verdicts) < len(verdicts)
+
+
+def dense_dual_report(dual, inst, times=None, cost_funcs=None):
+    """Dense oracle for `check_dual_feasible`: every grid time of every job."""
+    tgrid = range(1, inst.horizon + 1) if times is None else times
+    costs = [j.cost for j in inst.jobs] if cost_funcs is None else list(cost_funcs)
+    for j in range(inst.n):
+        events = sorted(
+            (e.t, e.y * min(inst.jobs[j].p, residual_demand(e.t, e.covered, inst)))
+            for e in dual.entries
+            if not e.covered.contains(j)
+        )
+        lhs = Fraction(0)
+        idx = 0
+        for s in tgrid:
+            while idx < len(events) and events[idx][0] <= s:
+                lhs += events[idx][1]
+                idx += 1
+            rhs = costs[j].value_at(s)
+            if rhs is not INFEASIBLE and lhs > rhs:
+                return DualFeasibilityReport(False, (j, s, lhs, rhs))
+    return DualFeasibilityReport(True)
+
+
+def dense_primal_report(due, inst, dual=None):
+    """Dense oracle for `check_primal_feasible`: base coverage at every
+    t in 1..T, then the inequalities of the dual support."""
+    T = inst.horizon
+    p = inst.processing()
+    violations = []
+    for t in range(1, T + 1):
+        lhs = sum(p[j] for j in range(inst.n) if due[j] >= t)
+        if lhs < T - t + 1:
+            violations.append((t, None, lhs, T - t + 1))
+    for e in dual.entries if dual is not None else ():
+        rhs = residual_demand(e.t, e.covered, inst)
+        lhs = sum(
+            min(p[j], rhs) for j in range(inst.n) if not e.covered.contains(j) and due[j] >= e.t
+        )
+        if rhs and lhs < rhs:
+            violations.append((e.t, e.covered.ids(), lhs, rhs))
+    return PrimalFeasibilityReport(not violations, tuple(violations))
+
+
+def tampered(dual, inst, rng):
+    """Entry times moved anywhere in 1..T and every y scaled by 0..3."""
+    entries = [
+        DualEntry(
+            rng.randint(1, inst.horizon) if rng.random() < 0.5 else e.t,
+            e.covered,
+            e.y * Fraction(rng.randint(0, 12), 4),
+        )
+        for e in dual.entries
+    ]
+    return DualSolution.from_entries(entries, inst)
+
+
+def test_sparse_dual_check_equals_dense_scan():
+    rng = random.Random(5)
+    verdicts = []
+    for seed in range(60):
+        inst = gen_random(RandomSpec(seed=seed, n=seed % 6 + 1, p_max=6, v_max=20))
+        out = solve_primal_dual(inst)
+        duals = [out.dual] + [tampered(out.dual, inst, rng) for _ in range(4)]
+        for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 10)):
+            r = solve_rounded(inst, eps)
+            grid = {"times": r.partition.points, "cost_funcs": list(r.rounded.cost_funcs)}
+            for dual in [r.dual] + [tampered(r.dual, inst, rng) for _ in range(4)]:
+                report = check_dual_feasible(dual, inst, **grid)
+                assert report == dense_dual_report(dual, inst, **grid), (seed, eps)
+                verdicts.append(report.feasible)
+                duals.append(dual)
+        for dual in duals:
+            report = check_dual_feasible(dual, inst)
+            assert report == dense_dual_report(dual, inst), seed
+            verdicts.append(report.feasible)
+    assert sum(verdicts) > 500 and len(verdicts) - sum(verdicts) > 500
+
+
+@settings(max_examples=80, deadline=None)
+@given(instances(allow_infeasible=True), st.randoms(use_true_random=False))
+def test_sparse_dual_check_equals_dense_scan_on_any_grid(inst, rng):
+    ids = range(inst.n)
+    entries = [
+        DualEntry(
+            rng.randint(1, inst.horizon),
+            JobSet.from_ids([j for j in ids if rng.random() < 0.3], inst),
+            Fraction(rng.randint(-3, 9), rng.randint(1, 4)),
+        )
+        for _ in range(rng.randint(0, 5))
+    ]
+    dual = DualSolution.from_entries(entries, inst)
+    grid = sorted({1, *rng.sample(range(1, inst.horizon + 1), rng.randint(0, inst.horizon))})
+    assert check_dual_feasible(dual, inst) == dense_dual_report(dual, inst)
+    assert check_dual_feasible(dual, inst, times=grid) == dense_dual_report(dual, inst, grid)
+
+
+def test_sparse_primal_check_equals_dense_report_at_run_starts():
+    rng = random.Random(9)
+    verdicts = []
+    for seed in range(60):
+        inst = gen_random(RandomSpec(seed=seed, n=seed % 6 + 1, p_max=6, v_max=20))
+        out = solve_primal_dual(inst)
+        vectors = [out.due_dates] + [
+            tuple(rng.randint(1, inst.horizon) for _ in range(inst.n)) for _ in range(20)
+        ]
+        for due in vectors:
+            report = check_primal_feasible(due, inst, dual=out.dual)
+            dense = dense_primal_report(due, inst, dual=out.dual)
+            starts = {1, *(d + 1 for d in due)}
+            restricted = tuple(v for v in dense.violations if v[1] is not None or v[0] in starts)
+            assert report == PrimalFeasibilityReport(dense.feasible, restricted), (seed, due)
+            # each uncovered run of base times is reported at its first time
+            uncovered = {v[0] for v in dense.violations if v[1] is None}
+            assert {t for t in uncovered if t - 1 not in uncovered} <= {
+                v[0] for v in report.violations
+            }
+            verdicts.append(report.feasible)
+    assert 50 < sum(verdicts) < len(verdicts) - 500
 
 
 def test_check_charging_strict(tight4):

@@ -14,14 +14,8 @@ from kcsched.edd import (
 from kcsched.errors import InstanceError
 from kcsched.generators import RandomSpec, gen_random
 from kcsched.instance import CostFunction, Instance, Job
-from kcsched.local_ratio import ResidualCosts, decompose, solve_local_ratio
+from kcsched.local_ratio import ResidualCosts, decompose, solve_local_ratio, solve_release
 from kcsched.oracle import exact_opt, exact_opt_release
-from kcsched.release import (
-    _argmax_interval,
-    decompose_release,
-    residual_demand_rt,
-    solve_release,
-)
 
 
 def release_suite(count, seed_base=0):
@@ -47,22 +41,26 @@ def brute_interval_demand(r, t, due, inst):
     return max(r + sum(inst.jobs[j].p for j in members) - t + 1, 0)
 
 
+def full_scan_peak(due, inst):
+    """Dense oracle for `peak_demand`: every release date r and every time
+    t in r+1..T, ties to the largest t, then the largest r."""
+    best = (0, -1, -1)
+    for r in inst.release_dates:
+        for t in range(r + 1, inst.horizon + 1):
+            d = interval_residual_demand(r, t, due, inst)
+            if d > 0 and (d, t, r) > best:
+                best = (d, t, r)
+    return best
+
+
 def test_residual_rt_single_job():
     inst = Instance((Job(0, 2, CostFunction(())),))
-    assert residual_demand_rt(0, 2, (0,), inst) == 1
+    assert interval_residual_demand(0, 2, (0,), inst) == 1
 
 
 def test_residual_rt_empty_set():
     inst = Instance((Job(0, 2, CostFunction(())), Job(1, 1, CostFunction(()))))
-    assert residual_demand_rt(0, 2, (3, 3), inst) == 0
-
-
-def test_residual_rt_domain_errors():
-    inst = Instance((Job(0, 2, CostFunction(()), 1),))
-    with pytest.raises(InstanceError):
-        residual_demand_rt(2, 3, (3,), inst)  # 2 is not a release date
-    with pytest.raises(InstanceError):
-        residual_demand_rt(1, 1, (3,), inst)  # t must exceed r
+    assert interval_residual_demand(0, 2, (3, 3), inst) == 0
 
 
 def test_residual_rt_matches_bruteforce():
@@ -72,7 +70,7 @@ def test_residual_rt_matches_bruteforce():
             due = tuple(rng.randint(0, inst.horizon) for _ in range(inst.n))
             r = rng.choice(inst.release_dates)
             t = rng.randint(r + 1, inst.horizon)
-            assert residual_demand_rt(r, t, due, inst) == brute_interval_demand(
+            assert interval_residual_demand(r, t, due, inst) == brute_interval_demand(
                 r, t, due, inst
             )
 
@@ -82,9 +80,7 @@ def test_argmax_restricted_equals_full_scan():
     for inst in release_suite(80):
         for _ in range(10):
             due = [rng.randint(inst.jobs[j].release, inst.horizon) for j in range(inst.n)]
-            fast = _argmax_interval(due, inst)
-            slow = _argmax_interval(due, inst, full_scan=True)
-            assert fast == slow
+            assert peak_demand(due, inst) == full_scan_peak(due, inst)
 
 
 def test_peak_on_a_sparse_grid_equals_scan_of_its_times():
@@ -106,21 +102,9 @@ def test_peak_on_a_sparse_grid_equals_scan_of_its_times():
 def test_single_violated_interval_is_argmax():
     inst = Instance((Job(0, 2, CostFunction(())),))
     # the only violated intervals are [0, 1) with demand 2 and [0, 2) with 1
-    assert _argmax_interval([0], inst) == (2, 1, 0)
-    assert _argmax_interval([1], inst) == (1, 2, 0)
-    assert _argmax_interval([2], inst) == (0, -1, -1)
-
-
-def test_decompose_release_specializes_without_releases():
-    for seed in range(40):
-        inst = gen_random(RandomSpec(seed=seed, n=seed % 5 + 1, p_max=4, v_max=9))
-        due = [0] * inst.n
-        lr = decompose(ResidualCosts(inst), due, inst)
-        rel = decompose_release(ResidualCosts(inst), due, inst)
-        assert (rel.t_star, rel.alpha, rel.job, rel.time) == (
-            lr.t_star, lr.alpha, lr.job, lr.time,
-        )
-        assert rel.r_star == 0
+    assert peak_demand([0], inst) == (2, 1, 0)
+    assert peak_demand([1], inst) == (1, 2, 0)
+    assert peak_demand([2], inst) == (0, -1, -1)
 
 
 def test_solve_release_specializes_without_releases():
@@ -129,6 +113,8 @@ def test_solve_release_specializes_without_releases():
         a = solve_local_ratio(inst)
         b = solve_release(inst)
         assert a.due_dates == b.due_dates
+        assert decompose(ResidualCosts(inst), [0] * inst.n, inst).r_star == 0
+        assert all(r.r_star == 0 for r in b.trace)
         assert b.cost <= 4 * exact_opt(inst).opt_cost
 
 

@@ -140,6 +140,16 @@ def test_snap_left(tight4):
     assert part.snap_left(16) == 12
 
 
+def test_right_end_of_each_left_endpoint(tight4):
+    part = build_partition(tight4, Fraction(1, 2))
+    assert [(left, part.right_end(left)) for left in part.points] == part.intervals()
+    assert part.right_end(part.points[-1]) == tight4.horizon
+    for t in (0, 2, 5, 15, 16, 17):
+        assert t not in part.points
+        with pytest.raises(ValueError):
+            part.right_end(t)
+
+
 def test_forward_snap_of_optimum_is_grid_feasible():
     # an optimal assignment snapped to interval left endpoints stays
     # feasible on the grid and costs at most (1 + eps) times the optimum
