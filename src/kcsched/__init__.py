@@ -61,7 +61,6 @@ from .rounding import (
     RoundedInstance,
     RoundedOutcome,
     build_partition,
-    cost_class,
     solve_rounded,
 )
 

@@ -60,7 +60,16 @@ def _load(path: str) -> Instance:
     return parse_instance(Path(path).read_text())
 
 
-def _run_algorithm(inst: Instance, algo: str, epsilon: str | None):
+def _rational(text: str) -> Fraction:
+    """argparse type for --epsilon and --delta: an unparsable rational is a
+    usage error (exit 2), never a traceback."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+def _run_algorithm(inst: Instance, algo: str, epsilon: Fraction | None):
     """Returns (cost, dual value or None, ratio or None, trace text, extras)."""
     if algo == "pd":
         out = solve_primal_dual(inst)
@@ -74,7 +83,7 @@ def _run_algorithm(inst: Instance, algo: str, epsilon: str | None):
     if algo == "rounded":
         if epsilon is None:
             raise InstanceError("--epsilon is required with --algo rounded")
-        out = solve_rounded(inst, Fraction(epsilon))
+        out = solve_rounded(inst, epsilon)
         return out.primal_cost, out.dual_value, out.ratio, trace_to_jsonl(out.trace), out
     raise InstanceError(f"unknown algorithm {algo!r}")
 
@@ -128,7 +137,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         report["dual"] = _rat(dual_value)
         report["ratio"] = _rat(ratio)
     if args.epsilon is not None:
-        report["epsilon"] = _rat(Fraction(args.epsilon))
+        report["epsilon"] = _rat(args.epsilon)
     if args.with_opt:
         report["opt"] = _oracle_cost(inst)
     if args.trace:
@@ -196,7 +205,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.kind == "tight":
         inst = gen_tight(args.p)
     elif args.kind == "tight-shifted":
-        inst = gen_tight_shifted(args.p, Fraction(args.delta))
+        inst = gen_tight_shifted(args.p, args.delta)
     else:
         spec = RandomSpec(
             seed=args.seed,
@@ -218,13 +227,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     inst = _load(args.instance)
     if args.algo in ("pd", "rounded"):
-        # debug mode re-verifies dual feasibility after every iteration
+        # debug mode verifies the dual after every iteration; with every
+        # alpha >= 0, one check of the final dual decides them all
         if args.algo == "pd":
             outcome = solve_primal_dual(inst, debug=True)
         else:
             if args.epsilon is None:
                 raise InstanceError("--epsilon is required with --algo rounded")
-            outcome = solve_rounded(inst, Fraction(args.epsilon), debug=True)
+            outcome = solve_rounded(inst, args.epsilon, debug=True)
     elif args.algo == "lr":
         outcome = solve_local_ratio(inst, check=True)
     else:
@@ -247,7 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run one algorithm on an instance file")
     solve.add_argument("instance")
     solve.add_argument("--algo", choices=ALGORITHMS, default="pd")
-    solve.add_argument("--epsilon", help="rational like 1/2 or 0.5 (rounded only)")
+    solve.add_argument(
+        "--epsilon", type=_rational, help="rational like 1/2 or 0.5 (rounded only)"
+    )
     solve.add_argument("--check", action="store_true", help="run feasibility checkers")
     solve.add_argument("--trace", help="write the iteration trace to this path")
     solve.add_argument("--with-opt", action="store_true", help="include the exact optimum")
@@ -268,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     tight.set_defaults(func=cmd_gen)
     shifted = gen_sub.add_parser("tight-shifted")
     shifted.add_argument("--p", type=int, required=True)
-    shifted.add_argument("--delta", required=True, help="rational like 1/4")
+    shifted.add_argument("--delta", type=_rational, required=True, help="rational like 1/4")
     shifted.add_argument("--out")
     shifted.set_defaults(func=cmd_gen)
     rand = gen_sub.add_parser("random")
@@ -284,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="solve with all invariant checks enabled")
     verify.add_argument("instance")
     verify.add_argument("--algo", choices=ALGORITHMS, default="pd")
-    verify.add_argument("--epsilon")
+    verify.add_argument("--epsilon", type=_rational)
     verify.set_defaults(func=cmd_verify)
 
     return parser

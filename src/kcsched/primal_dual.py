@@ -150,14 +150,24 @@ def grow(
             GrowRecord(len(records) + 1, d.t_star, covered, d.demand, d.alpha, d.job, d.time)
         )
     if debug:
-        for k in range(1, len(entries) + 1):
-            report = check_dual_feasible(
+        # With every alpha >= 0, each left side only grows with the
+        # prefix, so every prefix is feasible iff the full dual is.  The
+        # prefixes are scanned only to name the first infeasible one.
+        for k, e in enumerate(entries, 1):
+            assert e.y >= 0, f"negative dual step {e.y} at iteration {k}"
+
+        def prefix_report(k: int) -> DualFeasibilityReport:
+            return check_dual_feasible(
                 DualSolution.from_entries(entries[:k], inst),
                 inst,
                 times=g.times,
                 cost_funcs=g.base,
             )
-            assert report.feasible, f"dual infeasible after iteration {k}: {report.violation}"
+
+        if not prefix_report(len(entries)).feasible:
+            for k in range(1, len(entries) + 1):
+                report = prefix_report(k)
+                assert report.feasible, f"dual infeasible after iteration {k}: {report.violation}"
     assignments = [(f.dec.job, f.dec.time, f.old_due) for f in frames]
     state = GrowState(frontier, assignments, g.times)
     return state, DualSolution.from_entries(entries, inst), tuple(records)

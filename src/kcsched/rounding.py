@@ -1,12 +1,14 @@
-"""Interval-indexed reduction: geometric cost classes, modified costs on
-the class left endpoints, primal-dual solve on the compressed time grid,
-and mapping back to original due dates.
+"""Interval-indexed reduction: cost classes anchored at their first
+value, modified costs on the class left endpoints, primal-dual solve on
+the compressed time grid, and mapping back to original due dates.
 
 Per job, times are grouped into classes where the cost stays within a
-factor 1 + epsilon (class 0 holds the zero-cost times, infeasible times
-form a terminal class).  The union of class left endpoints over all
-jobs is the compressed grid; solving there degrades the guarantee by at
-most 1 + epsilon while the grid stays polynomially small.
+factor 1 + epsilon of the class's first value, its anchor (class 0
+holds the zero-cost times, infeasible times form a terminal class).
+The union of class left endpoints over all jobs is the compressed grid;
+solving there degrades the guarantee by at most 1 + epsilon while the
+grid stays polynomially small.  Opening a class costs one integer
+comparison, so the partition is cheap at any epsilon.
 """
 
 from __future__ import annotations
@@ -26,42 +28,8 @@ __all__ = [
     "RoundedOutcome",
     "build_partition",
     "solve_rounded",
-    "cost_class",
     "partition_to_json",
 ]
-
-
-def _pow_cmp_gt(a: int, b: int, k: int, v: int) -> bool:
-    """Exact test (a/b)^k > v via cross-multiplied integers."""
-    return a**k > v * b**k
-
-
-def cost_class(v: int, epsilon: Fraction) -> int:
-    """Class index of a finite value: 0 for v = 0, else the unique k >= 1
-    with (1+eps)^(k-1) <= v < (1+eps)^k, found by exact comparisons."""
-    if v == 0:
-        return 0
-    ratio = 1 + Fraction(epsilon)
-    a, b = ratio.numerator, ratio.denominator
-    hi = 1
-    while not _pow_cmp_gt(a, b, hi, v):
-        hi *= 2
-    lo = hi // 2  # (a/b)^lo <= v < (a/b)^hi, or lo == 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _pow_cmp_gt(a, b, mid, v):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _same_class(u: int, v: int, epsilon: Fraction) -> bool:
-    # u <= v, both finite and positive: same class iff v is still below
-    # the geometric boundary that closes u's class.
-    ratio = 1 + Fraction(epsilon)
-    k = cost_class(u, epsilon)
-    return _pow_cmp_gt(ratio.numerator, ratio.denominator, k, v)
 
 
 @dataclass(frozen=True)
@@ -98,27 +66,44 @@ class IntervalPartition:
 def build_partition(inst: Instance, epsilon: Fraction | int | str) -> IntervalPartition:
     """Union over jobs of the class left endpoints, plus time 1.
 
-    A breakpoint opens a new class when its value leaves the class of
-    the value before it: zero to positive, positive to a value at or
-    beyond the next geometric boundary, or anything to infeasible.
+    Write 1 + eps = a/b.  Per job, a class is anchored at its first
+    value: a breakpoint value v opens a new class when the current
+    anchor is 0 and v > 0, when v * b >= a * anchor, or when v is the
+    first infeasible value; v then becomes the anchor.  Each test is one
+    integer comparison, and no power of 1 + eps is ever computed.
+
+    Why the bound holds.  Inside a job's positive class every value
+    lies in [anchor, (1+eps) * anchor), the zero class holds only 0 and
+    the terminal class only infeasible values.  The union grid refines
+    every job's classes, so the modified cost f(right) of an interval is
+    below (1+eps) * f(t) for every t in it (equal in the zero and
+    infeasible classes), which is all the 4(1+eps) argument of
+    `solve_rounded` uses.
+
+    No job gets more classes than fixed geometric boundaries
+    (1+eps)^k would give it.  Each new anchor is at least 1 + eps times
+    the one before, so it lies in a strictly later geometric class.
+    Hence the size bound tau <= sum_j (2 + log_{1+eps} f_j(T)) + 1
+    holds.  This is per job only: the union of the jobs' points can
+    differ from the geometric union either way.
+
+    When eps * (largest finite cost) < 1, every distinct value is its
+    own class under both rules: for integers v > u >= 1, v / u >= 1 + 1/u
+    > 1 + eps.  Then the partition equals the geometric one.
     """
     eps = Fraction(epsilon)
     if eps <= 0:
         raise InstanceError(f"epsilon must be positive, got {eps}")
+    a, b = (1 + eps).as_integer_ratio()
     points = {1}
     for job in inst.jobs:
-        prev: Cost = 0
+        anchor = 0
         for t, v in job.cost.breakpoints:
-            if v is INFEASIBLE:
-                if prev is not INFEASIBLE:
-                    points.add(t)
-                prev = v
-                continue
-            if v == prev:
-                continue
-            if prev == 0 or not _same_class(int(prev), v, eps):
+            if v is INFEASIBLE or (v * b >= a * anchor if anchor else v > 0):
                 points.add(t)
-            prev = v
+                if v is INFEASIBLE:
+                    break
+                anchor = v
     return IntervalPartition(eps, tuple(sorted(points)), inst.horizon)
 
 

@@ -202,6 +202,35 @@ def test_gen_random_deterministic_output(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "INSTANCE", "--algo", "rounded", "--epsilon", "1/0"],
+        ["solve", "INSTANCE", "--algo", "pd", "--epsilon", "1/0"],
+        ["verify", "INSTANCE", "--algo", "rounded", "--epsilon", "1/0"],
+        ["solve", "INSTANCE", "--algo", "rounded", "--epsilon", "half"],
+        ["gen", "tight-shifted", "--p", "4", "--delta", "1/0"],
+    ],
+)
+def test_unparsable_rational_is_usage_error(capsys, tight_file, argv):
+    argv = [tight_file if a == "INSTANCE" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument" in err and "not a rational number" in err
+
+
+def run_subprocess(argv: list[str]) -> subprocess.CompletedProcess:
+    """`python -m kcsched.cli argv`, killed after 20 s."""
+    src = str(Path(kcsched.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "kcsched.cli", *argv],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+
+
 @pytest.mark.parametrize("command", ["solve", "verify"])
 @pytest.mark.parametrize("algo", sorted(ALGO_ARGS))
 def test_checks_do_not_depend_on_the_horizon(tmp_path, algo, command):
@@ -213,12 +242,20 @@ def test_checks_do_not_depend_on_the_horizon(tmp_path, algo, command):
     argv = [command, str(path), *ALGO_ARGS[algo]]
     if command == "solve":
         argv += ["--check", "--stable"]
-    src = str(Path(kcsched.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "kcsched.cli", *argv],
-        capture_output=True, text=True, timeout=20, env=env,
-    )
+    proc = run_subprocess(argv)
+    assert proc.returncode == 0, proc.stderr
+
+
+# Geometric class boundaries at epsilon 1/10^6 need powers (1 + eps)^k
+# with k in the millions; anchored classes compare small integers.
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_tiny_epsilon_is_cheap(tmp_path, command):
+    path = tmp_path / "six.json"
+    path.write_text(serialize_instance(gen_random(RandomSpec(seed=1, n=6))))
+    argv = [command, str(path), "--algo", "rounded", "--epsilon", "1/1000000"]
+    if command == "solve":
+        argv.append("--check")
+    proc = run_subprocess(argv)
     assert proc.returncode == 0, proc.stderr
 
 

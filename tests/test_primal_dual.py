@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kcsched import primal_dual
 from kcsched.edd import feasible_assignment
 from kcsched.errors import InfeasibleInstanceError
 from kcsched.generators import RandomSpec, gen_random, gen_tight
@@ -125,6 +126,40 @@ def test_debug_mode_checks_every_iteration():
     for seed in range(10):
         inst = gen_random(RandomSpec(seed=seed, n=seed % 5 + 2, p_max=4, v_max=8))
         solve_primal_dual(inst, debug=True)
+
+
+def counting_dual_checker(monkeypatch, fail_from: int | None = None) -> list[int]:
+    """Wrap grow's check_dual_feasible; record each checked prefix length,
+    and report an infeasible dual from `fail_from` entries on."""
+    calls: list[int] = []
+    real = primal_dual.check_dual_feasible
+
+    def checker(dual, inst, **kwargs):
+        calls.append(len(dual.entries))
+        if fail_from is not None and len(dual.entries) >= fail_from:
+            return DualFeasibilityReport(False, (0, 1, Fraction(1), 0))
+        return real(dual, inst, **kwargs)
+
+    monkeypatch.setattr(primal_dual, "check_dual_feasible", checker)
+    return calls
+
+
+def test_debug_mode_checks_one_dual(monkeypatch):
+    inst = gen_random(RandomSpec(seed=3, n=6, p_max=4, v_max=8))
+    calls = counting_dual_checker(monkeypatch)
+    _, _, trace = grow(inst, debug=True)
+    assert len(trace) > 1
+    assert calls == [len(trace)]
+
+
+def test_debug_mode_names_the_first_infeasible_iteration(monkeypatch):
+    inst = gen_random(RandomSpec(seed=3, n=6, p_max=4, v_max=8))
+    iterations = len(grow(inst)[2])
+    assert iterations > 3
+    calls = counting_dual_checker(monkeypatch, fail_from=3)
+    with pytest.raises(AssertionError, match="after iteration 3:"):
+        grow(inst, debug=True)
+    assert calls == [iterations, 1, 2, 3]
 
 
 def test_pair_times_nondecreasing_per_job():

@@ -3,6 +3,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcsched.edd import edd_schedule
 from kcsched.errors import InstanceError
@@ -13,10 +15,50 @@ from kcsched.primal_dual import check_primal_feasible, solve_primal_dual
 from kcsched.rounding import (
     RoundedInstance,
     build_partition,
-    cost_class,
     partition_to_json,
     solve_rounded,
 )
+
+from conftest import instances
+
+
+def cost_class(v: int, epsilon: Fraction) -> int:
+    """Geometric-rule oracle: 0 for v = 0, else the unique k >= 1 with
+    (1+eps)^(k-1) <= v < (1+eps)^k, by exact integer comparisons."""
+    if v == 0:
+        return 0
+    ratio = 1 + Fraction(epsilon)
+    a, b = ratio.numerator, ratio.denominator
+
+    def pow_gt(k: int) -> bool:  # (a/b)^k > v
+        return a**k > v * b**k
+
+    hi = 1
+    while not pow_gt(hi):
+        hi *= 2
+    lo = hi // 2  # (a/b)^lo <= v < (a/b)^hi, or lo == 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pow_gt(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def geometric_points(job: Job, eps: Fraction) -> set[int]:
+    """Times where the job's cost enters a new class under fixed
+    geometric boundaries (1+eps)^k, or becomes infeasible."""
+    points = set()
+    prev = 0
+    for t, v in job.cost.breakpoints:
+        if v is INFEASIBLE:
+            if prev is not INFEASIBLE:
+                points.add(t)
+        elif cost_class(v, eps) != cost_class(prev, eps):
+            points.add(t)
+        prev = v
+    return points
 
 
 def test_cost_class_eps_one():
@@ -39,6 +81,26 @@ def test_cost_class_eps_half():
     assert cost_class(4, eps) == 4
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    instances(max_n=4, max_p=6, max_breakpoints=6, max_value=200, allow_infeasible=True),
+    st.one_of(
+        st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 10), Fraction(1, 1000)]),
+        st.fractions(min_value=Fraction(1, 500), max_value=3, max_denominator=500),
+    ),
+)
+def test_anchored_classes_against_geometric_oracle(inst, eps):
+    for job in inst.jobs:
+        # the job alone, on the same horizon
+        alone = Instance((Job(0, inst.horizon, job.cost),))
+        anchored = set(build_partition(alone, eps).points) - {1}
+        assert len(anchored) <= len(geometric_points(job, eps) - {1})
+    finite = [v for job in inst.jobs for _, v in job.cost.breakpoints if v is not INFEASIBLE]
+    if eps * max(finite, default=0) < 1:
+        geometric = {1}.union(*(geometric_points(job, eps) for job in inst.jobs))
+        assert build_partition(inst, eps).points == tuple(sorted(geometric))
+
+
 def test_partition_class_example():
     # values over t = 1..6 are (0, 0, 1, 1, 2, 3); with eps = 1 the classes are
     # {1,2}, {3,4} in [1,2), {5,6} in [2,4): left endpoints 1, 3, 5
@@ -59,6 +121,9 @@ def test_partition_infeasible_opens_terminal_class(tight4):
     part = build_partition(tight4, Fraction(1, 2))
     # jobs 0/1: free then p at 4, infeasible at 12; jobs 2/3: p at 11
     assert part.points == (1, 4, 11, 12)
+    # a repeated infeasible breakpoint stays in the terminal class
+    inst = Instance((Job(0, 4, CostFunction(((2, 1), (3, INFEASIBLE), (4, INFEASIBLE)))),))
+    assert build_partition(inst, Fraction(1, 2)).points == (1, 2, 3)
 
 
 def test_partition_rejects_bad_epsilon(tight4):
@@ -90,7 +155,7 @@ def test_partition_size_bound_exact():
 def test_modified_costs_bracket_base_costs():
     for seed in range(40):
         inst = gen_random(RandomSpec(seed=seed, n=seed % 5 + 1, p_max=4, v_max=12))
-        for eps in (Fraction(1, 10), Fraction(1)):
+        for eps in (Fraction(1, 10**6), Fraction(1, 1000), Fraction(1, 10), Fraction(1, 2), 1):
             rd = RoundedInstance(inst, build_partition(inst, eps))
             for j, func in enumerate(rd.cost_funcs):
                 for left in rd.partition.points:
