@@ -69,23 +69,22 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _run_algorithm(inst: Instance, algo: str, epsilon: Fraction | None):
+def _run_algorithm(
+    inst: Instance, algo: str, epsilon: Fraction | None, *, debug: bool = False
+):
     """Returns (cost, dual value or None, ratio or None, trace text, extras)."""
-    if algo == "pd":
-        out = solve_primal_dual(inst)
-        return out.primal_cost, out.dual_value, out.ratio, trace_to_jsonl(out.trace), out
-    if algo == "lr":
-        out = solve_local_ratio(inst)
-        return out.cost, None, None, lr_trace_to_jsonl(out.trace), out
-    if algo == "release":
-        out = solve_release(inst)
-        return out.cost, None, None, lr_trace_to_jsonl(out.trace), out
     if algo == "rounded":
         if epsilon is None:
             raise InstanceError("--epsilon is required with --algo rounded")
-        out = solve_rounded(inst, epsilon)
+        out = solve_rounded(inst, epsilon, debug=debug)
+    elif epsilon is not None:
+        raise InstanceError(f"--epsilon applies only to --algo rounded, not {algo}")
+    else:
+        solve = {"pd": solve_primal_dual, "lr": solve_local_ratio, "release": solve_release}
+        out = solve[algo](inst, debug=debug)
+    if algo in ("pd", "rounded"):
         return out.primal_cost, out.dual_value, out.ratio, trace_to_jsonl(out.trace), out
-    raise InstanceError(f"unknown algorithm {algo!r}")
+    return out.cost, None, None, lr_trace_to_jsonl(out.trace), out
 
 
 def _oracle_cost(inst: Instance) -> int:
@@ -226,19 +225,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     inst = _load(args.instance)
-    if args.algo in ("pd", "rounded"):
-        # debug mode verifies the dual after every iteration; with every
-        # alpha >= 0, one check of the final dual decides them all
-        if args.algo == "pd":
-            outcome = solve_primal_dual(inst, debug=True)
-        else:
-            if args.epsilon is None:
-                raise InstanceError("--epsilon is required with --algo rounded")
-            outcome = solve_rounded(inst, args.epsilon, debug=True)
-    elif args.algo == "lr":
-        outcome = solve_local_ratio(inst, check=True)
-    else:
-        outcome = solve_release(inst, check=True)
+    outcome = _run_algorithm(inst, args.algo, args.epsilon, debug=True)[-1]
     checks = _run_checks(inst, args.algo, outcome)
     ok = all(checks.values())
     for name, passed in sorted(checks.items()):

@@ -61,22 +61,6 @@ def schedule_to_json(sched: Schedule) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def base_demands_covered(due: list[int] | DueDates, inst: Instance) -> bool:
-    """No-release feasibility: for every t, sum of p over jobs due before t
-    fits in t - 1 slots.  Due date 0 is allowed and covers nothing."""
-    order = sorted(range(inst.n), key=lambda j: due[j])
-    cum = 0
-    idx = 0
-    while idx < inst.n:
-        v = due[order[idx]]
-        while idx < inst.n and due[order[idx]] == v:
-            cum += inst.jobs[order[idx]].p
-            idx += 1
-        if v < inst.horizon and cum > v:
-            return False
-    return True
-
-
 def interval_residual_demand(r: int, t: int, due: list[int] | DueDates, inst: Instance) -> int:
     """Residual demand of interval [r, t): work released at or after r whose
     due date has it finish before t, measured against the room up to t."""
@@ -136,8 +120,6 @@ def feasible_assignment(due: DueDates, inst: Instance) -> bool:
         # A job due before its release can never finish on time; the
         # interval criterion below assumes due >= release throughout.
         return False
-    if not inst.has_releases:
-        return base_demands_covered(due, inst)
     return peak_demand(due, inst)[0] == 0
 
 
@@ -147,46 +129,33 @@ def feasible_assignment(due: DueDates, inst: Instance) -> bool:
 
 
 def edd_schedule(due: DueDates, inst: Instance) -> Schedule:
-    """Nonpreemptive EDD schedule (no release dates, no idle time).
-
-    Jobs run in order of (due date, id); every completion lands at or
-    before its due date, so the total cost never exceeds the cost of
-    the assignment itself.  An infeasible assignment raises with the
-    first uncovered time: one past the due date of the first job that
-    misses it, since every job before it met its own.
+    """Nonpreemptive EDD schedule (no release dates, no idle time): with
+    every job released at 0, preemptive EDD runs jobs whole in order of
+    (due date, id).  An infeasible assignment raises with the first
+    uncovered time, one past the due date of the first job that misses
+    it, since every job before it met its own.
     """
     if inst.has_releases:
         raise ValueError("edd_schedule requires an instance without release dates")
+    sched = preemptive_edd(due, inst)
+    if isinstance(sched, EddMiss):
+        raise InfeasibleAssignmentError(sched.due + 1)
+    return sched
+
+
+def preemptive_edd(due: DueDates, inst: Instance) -> Schedule | EddMiss:
+    """Preemptive earliest-due-date sweep over [0, T].
+
+    At every moment the released, unfinished job with the earliest due
+    date (ties by id) runs.  Returns the schedule if all due dates are
+    met, otherwise the first miss by (due date, id).  The sweep jumps
+    from release to release and completion to completion, so its work
+    does not depend on T.
+    """
     _require_assigned(due, inst)
-    order = sorted(range(inst.n), key=lambda j: (due[j], j))
-    completions = [0] * inst.n
-    segments = []
-    clock = 0
-    for j in order:
-        start = clock
-        clock += inst.jobs[j].p
-        completions[j] = clock
-        segments.append((j, start, clock))
-        if clock > due[j]:
-            raise InfeasibleAssignmentError(due[j] + 1)
-    total = cost_sum(inst.jobs[j].cost.value_at(completions[j]) for j in range(inst.n))
-    return Schedule(tuple(segments), tuple(completions), total)
-
-
-def _merge_segments(raw: list[tuple[int, int, int]]) -> tuple[tuple[int, int, int], ...]:
-    merged: list[tuple[int, int, int]] = []
-    for j, s, e in raw:
-        if merged and merged[-1][0] == j and merged[-1][2] == s:
-            merged[-1] = (j, merged[-1][1], e)
-        else:
-            merged.append((j, s, e))
-    return tuple(merged)
-
-
-def _preemptive_event_sweep(due: DueDates, inst: Instance) -> tuple[list, list[int]]:
     remaining = inst.processing()
     completions = [0] * inst.n
-    segments = []
+    segments: list[tuple[int, int, int]] = []
     by_release = sorted(range(inst.n), key=lambda j: (inst.jobs[j].release, due[j], j))
     heap: list[tuple[int, int]] = []
     ptr = 0
@@ -204,7 +173,10 @@ def _preemptive_event_sweep(due: DueDates, inst: Instance) -> tuple[list, list[i
         end = clock + remaining[j]
         if ptr < inst.n:
             end = min(end, inst.jobs[by_release[ptr]].release)
-        segments.append((j, clock, end))
+        if segments and segments[-1][0] == j and segments[-1][2] == clock:
+            segments[-1] = (j, segments[-1][1], end)  # resumed at once: one segment
+        else:
+            segments.append((j, clock, end))
         remaining[j] -= end - clock
         clock = end
         if remaining[j] == 0:
@@ -212,23 +184,9 @@ def _preemptive_event_sweep(due: DueDates, inst: Instance) -> tuple[list, list[i
             done += 1
         else:
             heappush(heap, (due[j], j))
-    return segments, completions
-
-
-def preemptive_edd(due: DueDates, inst: Instance) -> Schedule | EddMiss:
-    """Preemptive earliest-due-date sweep over [0, T].
-
-    At every moment the released, unfinished job with the earliest due
-    date (ties by id) runs.  Returns the schedule if all due dates are
-    met, otherwise the first miss by (due date, id).  The sweep jumps
-    from release to release and completion to completion, so its work
-    does not depend on T.
-    """
-    _require_assigned(due, inst)
-    raw, completions = _preemptive_event_sweep(due, inst)
     missed = [j for j in range(inst.n) if completions[j] > due[j]]
     if missed:
         j = min(missed, key=lambda j: (due[j], j))
         return EddMiss(j, due[j])
     total = cost_sum(inst.jobs[j].cost.value_at(completions[j]) for j in range(inst.n))
-    return Schedule(_merge_segments(raw), tuple(completions), total)
+    return Schedule(tuple(segments), tuple(completions), total)

@@ -260,6 +260,8 @@ def parse_instance(text: str) -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InstanceError("malformed JSON: nested too deeply") from exc
     if not isinstance(doc, dict) or "jobs" not in doc:
         raise InstanceError('instance JSON must be an object with a "jobs" list')
     raw_jobs = doc["jobs"]

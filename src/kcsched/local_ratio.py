@@ -6,38 +6,44 @@ time grid, splits the residual cost vector into a scaled model part
 (truncated sizes of the jobs that could newly cover that interval) and
 a remainder that stays nonnegative, and raises the due date of a job
 whose remainder hit zero.  Once feasible, the due-date raises are
-undone in reverse order whenever feasibility survives.
+undone in reverse order whenever feasibility survives, and the
+charging bound is asserted after every undo decision.  `finish` then
+prices the surviving due dates and schedules them by EDD.
 
 The scales are exactly the raised duals of the primal-dual scheme and
 the undo pass is its reverse delete (Bar-Yehuda and Rawitz, 2005), so
 `primal_dual.grow` and `prune` are views of this engine on the grid
 1..T or on a compressed grid, and `solve_release` is the same run over
 several release dates, where the residual demand lives on intervals
-[r, t) and the guarantee degrades to 4 kappa.  The grid is only ever
-bisected, never walked: every step visits the breakpoints, charge
-thresholds and due dates, so the work does not depend on T.
+[r, t) and the guarantee degrades to 4 kappa.  All four solvers end in
+`reverse_delete` and `finish`; their `debug` keyword adds the ledger
+assertions of `raise_due_dates`.  The grid is only ever bisected, never
+walked: every step visits the breakpoints, charge thresholds and due
+dates, so the work does not depend on T.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left, insort
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .edd import Schedule, edd_schedule, peak_demand, preemptive_edd
+from .edd import Schedule, peak_demand, preemptive_edd
 from .errors import InfeasibleInstanceError
 from .instance import INFEASIBLE, CostFunction, Instance
 
 __all__ = [
     "ResidualCosts",
     "Decomposition",
+    "Frame",
     "LocalRatioRecord",
     "LocalRatioOutcome",
     "decompose",
     "raise_due_dates",
     "reverse_delete",
+    "finish",
     "solve_local_ratio",
     "solve_release",
     "lr_trace_to_jsonl",
@@ -175,34 +181,39 @@ def _split(
 
 
 @dataclass(frozen=True)
-class _Frame:
+class Frame:
+    """One raise of the engine: its split, the raised job's due date
+    before the raise, and every due date at the moment of the split."""
+
     dec: Decomposition
     old_due: int
     due_snapshot: tuple[int, ...]
 
 
 def raise_due_dates(
-    g: ResidualCosts, inst: Instance, *, check: bool
-) -> tuple[list[_Frame], list[int]]:
+    g: ResidualCosts, inst: Instance, *, debug: bool = False
+) -> tuple[list[Frame], list[int]]:
     """Split and raise from the release dates until no interval on the
     grid of `g` carries residual demand; returns the frames in order and
-    the raised due dates."""
+    the raised due dates.  `debug` asserts the ledger after every split:
+    zero residual at each due date, nonnegative remainders, and a tight
+    raised pair."""
     n = inst.n
     due = [job.release for job in inst.jobs]
-    frames: list[_Frame] = []
+    frames: list[Frame] = []
     max_depth = n * len(g.times)
     while True:
         d0, t_star, r_star = peak_demand(due, inst, g.times)
         if d0 == 0:
             return frames, due
-        if check:
+        if debug:
             for j in range(n):
                 assert g.value(j, due[j]) == 0
                 assert due[j] >= inst.jobs[j].release
         dec = _split(g, due, inst, d0, t_star, r_star)
-        frames.append(_Frame(dec, due[dec.job], tuple(due)))
+        frames.append(Frame(dec, due[dec.job], tuple(due)))
         g.apply(dec)
-        if check:
+        if debug:
             g.assert_nonnegative(tuple(j for j, _ in dec.weights))
             assert g.value(dec.job, dec.time) == 0
         assert dec.time > due[dec.job]
@@ -212,27 +223,31 @@ def raise_due_dates(
 
 def reverse_delete(
     due: list[int],
-    raises: Sequence[tuple[int, int, int]],
+    frames: Sequence[Frame],
     inst: Instance,
     times: Sequence[int] | None = None,
-    audit: Callable[[int, list[int]], None] | None = None,
 ) -> list[bool]:
-    """Undo the raises (job, time, old due date) from the last to the
-    first whenever no interval on the grid is left with residual demand;
-    `due` ends as the pruned due dates.  Returns whether each undo was
-    kept, and calls `audit(index, due)` after each decision."""
-    kept = [False] * len(raises)
-    for i in range(len(raises) - 1, -1, -1):
-        job, time, old = raises[i]
+    """Undo the raises of `frames` from the last to the first whenever no
+    interval on the grid is left with residual demand; `due` ends as the
+    pruned due dates.  Returns whether each undo was kept.
+
+    After each decision the charging bound of the paper is asserted for
+    that frame: the jobs it could newly cover that still cover its
+    interval have truncated sizes summing to at most 4 kappa times its
+    demand, and no due date has fallen below the frame's snapshot.
+    """
+    kept = [False] * len(frames)
+    for i in range(len(frames) - 1, -1, -1):
+        frame = frames[i]
+        job, time = frame.dec.job, frame.dec.time
         # Once a later raise of the job survived, undoing this one cannot
         # be feasible either: demands only grow as due dates fall.
         if due[job] == time:
-            due[job] = old
+            due[job] = frame.old_due
             kept[i] = peak_demand(due, inst, times)[0] == 0
             if not kept[i]:
                 due[job] = time
-        if audit is not None:
-            audit(i, due)
+        _charging_bound(frame, due, 4 * inst.kappa)
     return kept
 
 
@@ -256,25 +271,40 @@ class LocalRatioOutcome:
     trace: tuple[LocalRatioRecord, ...]
 
 
-def _charging_bound(frame: _Frame, rho: list[int], factor: int) -> None:
-    lhs = 0
-    for j, w in frame.dec.weights:
-        if frame.dec.t_star <= rho[j]:
-            lhs += w
-    assert lhs <= factor * frame.dec.demand, (
-        f"charging bound violated at t*={frame.dec.t_star}: {lhs} > "
-        f"{factor} * {frame.dec.demand}"
+def _charging_bound(frame: Frame, due: list[int], factor: int) -> None:
+    dec = frame.dec
+    lhs = sum(w for j, w in dec.weights if dec.t_star <= due[j])
+    assert lhs <= factor * dec.demand, (
+        f"charging bound violated at t*={dec.t_star}: {lhs} > {factor} * {dec.demand}"
     )
+    assert all(old <= d for old, d in zip(frame.due_snapshot, due))
 
 
-def solve_local_ratio(inst: Instance, *, check: bool = True) -> LocalRatioOutcome:
+def finish(due: Sequence[int], inst: Instance) -> tuple[int, Schedule]:
+    """The last step of every solver: the cost of the due-date assignment,
+    checked to be an integer, and its preemptive EDD witness, which is
+    the EDD sequence when nothing is released after 0.  The witness never
+    costs more than the assignment."""
+    due = tuple(due)
+    assignment_cost = 0
+    for j, job in enumerate(inst.jobs):
+        v = job.cost.value_at(due[j])
+        assert isinstance(v, int), f"job {j} due at {due[j]} has infeasible cost"
+        assignment_cost += v
+    schedule = preemptive_edd(due, inst)
+    assert isinstance(schedule, Schedule), "feasible due dates must yield an EDD schedule"
+    assert isinstance(schedule.total_cost, int) and schedule.total_cost <= assignment_cost
+    return assignment_cost, schedule
+
+
+def solve_local_ratio(inst: Instance, *, debug: bool = False) -> LocalRatioOutcome:
     """Local-ratio 4-approximation for instances without release dates."""
     if inst.has_releases:
         raise ValueError("solve_local_ratio requires an instance without release dates")
-    return _solve(inst, check=check, release=False)
+    return _solve(inst, debug=debug, release=False)
 
 
-def solve_release(inst: Instance, *, check: bool = True) -> LocalRatioOutcome:
+def solve_release(inst: Instance, *, debug: bool = False) -> LocalRatioOutcome:
     """Local-ratio solve with release dates; cost within 4 kappa of optimum.
 
     Starts from the release-date vector itself (instance validation
@@ -282,21 +312,15 @@ def solve_release(inst: Instance, *, check: bool = True) -> LocalRatioOutcome:
     [r, t) carries residual demand, then undoes raises that feasibility
     can spare.  The returned schedule is the preemptive EDD witness.
     """
-    return _solve(inst, check=check, release=True)
+    return _solve(inst, debug=debug, release=True)
 
 
-def _solve(inst: Instance, *, check: bool, release: bool) -> LocalRatioOutcome:
-    """Engine run on the grid 1..T with the 4 kappa charging bound checked
-    per undo; release runs keep r_star in the trace and return the
-    preemptive EDD witness."""
-    frames, rho = raise_due_dates(ResidualCosts(inst), inst, check=check)
-
-    def audit(depth: int, rho: list[int]) -> None:
-        _charging_bound(frames[depth], rho, 4 * inst.kappa)
-        assert all(frames[depth].due_snapshot[j] <= rho[j] for j in range(inst.n))
-
-    raises = [(f.dec.job, f.dec.time, f.old_due) for f in frames]
-    kept = reverse_delete(rho, raises, inst, audit=audit if check else None)
+def _solve(inst: Instance, *, debug: bool, release: bool) -> LocalRatioOutcome:
+    """Engine run on the grid 1..T, reverse delete (which asserts the
+    4 kappa charging bound per undo) and `finish`; release runs keep
+    r_star in the trace.  `debug` turns on the ledger assertions."""
+    frames, rho = raise_due_dates(ResidualCosts(inst), inst, debug=debug)
+    kept = reverse_delete(rho, frames, inst)
     trace = tuple(
         LocalRatioRecord(
             depth + 1, f.dec.t_star, f.dec.alpha, f.dec.job, f.dec.time,
@@ -304,20 +328,8 @@ def _solve(inst: Instance, *, check: bool, release: bool) -> LocalRatioOutcome:
         )
         for depth, f in enumerate(frames)
     )
-
-    assignment_cost = 0
-    for j in range(inst.n):
-        v = inst.jobs[j].cost.value_at(rho[j])
-        assert isinstance(v, int)
-        assignment_cost += v
-    if release:
-        schedule = preemptive_edd(tuple(rho), inst)
-        assert isinstance(schedule, Schedule), "feasible due dates must yield a preemptive schedule"
-    else:
-        schedule = edd_schedule(tuple(rho), inst)
-    cost = schedule.total_cost
-    assert isinstance(cost, int) and cost <= assignment_cost
-    return LocalRatioOutcome(tuple(rho), assignment_cost, schedule, cost, trace)
+    assignment_cost, schedule = finish(rho, inst)
+    return LocalRatioOutcome(tuple(rho), assignment_cost, schedule, schedule.total_cost, trace)
 
 
 def lr_trace_to_jsonl(trace: tuple[LocalRatioRecord, ...]) -> str:

@@ -5,11 +5,14 @@ the largest residual demand until some job's dual constraint becomes
 tight, committing that (job, time) completion pair.  The pruning phase
 re-examines committed pairs in reverse, dropping any whose removal
 keeps every demand covered.  The raised duals form an exact rational
-certificate: the EDD schedule built from the surviving due dates costs
-less than four times the dual value.
+certificate: the surviving due dates cost less than four times the
+dual value, and their EDD schedule costs no more than the due dates.
 
 Both phases are views of the engine in `local_ratio`: the raised duals
-are its local-ratio scales and pruning is its reverse delete.  All dual
+are its local-ratio scales, pruning is its reverse delete, which
+asserts the charging bound per undo, and the schedule comes from its
+`finish`.  The certificate checkers below share no code with the
+engine, so they re-derive every claim from the dual alone.  All dual
 values and slacks are exact `fractions.Fraction`s; tightness tests are
 equalities, so floating point is never used.
 """
@@ -22,7 +25,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .edd import Schedule, edd_schedule, peak_demand
+from .edd import Schedule, peak_demand
 from .instance import (
     INFEASIBLE,
     Cost,
@@ -31,7 +34,7 @@ from .instance import (
     JobSet,
     residual_demand,
 )
-from .local_ratio import ResidualCosts, raise_due_dates, reverse_delete
+from .local_ratio import Frame, ResidualCosts, finish, raise_due_dates, reverse_delete
 
 __all__ = [
     "DualEntry",
@@ -99,11 +102,12 @@ class GrowState:
 
     Committed pairs are nested per job (a pair at time t puts the job in
     every covered set up to t), so membership reduces to one frontier
-    per job: the largest committed time.
+    per job: the largest committed time.  Each engine frame commits the
+    pair (frame.dec.job, frame.dec.time) over the frontier frame.old_due.
     """
 
     frontier: list[int]
-    assignments: list[tuple[int, int, int]]  # (job, time, previous frontier)
+    frames: list[Frame]
     times: Sequence[int]
 
 
@@ -132,12 +136,13 @@ def grow(
     constraint with a finite right-hand side becomes tight, and commits
     the tight (job, time) pair with the largest time, then smallest id.
     Terminates when every residual demand on the grid (1..T unless
-    `times` is given) is zero.
+    `times` is given) is zero.  `debug` turns on the engine's ledger
+    assertions and checks the dual of every iteration.
     """
     if inst.has_releases:
         raise ValueError("grow requires an instance without release dates")
     g = ResidualCosts(inst, cost_funcs, times)
-    frames, frontier = raise_due_dates(g, inst, check=debug)
+    frames, frontier = raise_due_dates(g, inst, debug=debug)
     entries: list[DualEntry] = []
     records: list[GrowRecord] = []
     for f in frames:
@@ -168,34 +173,39 @@ def grow(
             for k in range(1, len(entries) + 1):
                 report = prefix_report(k)
                 assert report.feasible, f"dual infeasible after iteration {k}: {report.violation}"
-    assignments = [(f.dec.job, f.dec.time, f.old_due) for f in frames]
-    state = GrowState(frontier, assignments, g.times)
+    state = GrowState(frontier, frames, g.times)
     return state, DualSolution.from_entries(entries, inst), tuple(records)
 
 
 def prune(state: GrowState, inst: Instance) -> tuple[int, ...]:
     """Reverse-delete: drop committed pairs whose removal keeps every
-    demand on the grid covered; each job ends up with exactly one due date."""
+    demand on the grid covered; each job ends up with exactly one due date.
+    The engine's reverse delete asserts the charging bound per undo."""
     due = list(state.frontier)
-    reverse_delete(due, state.assignments, inst, state.times)
+    reverse_delete(due, state.frames, inst, state.times)
     assert all(d >= 1 for d in due), "pruning must leave exactly one pair per job"
     assert peak_demand(due, inst, state.times)[0] == 0
     return tuple(due)
+
+
+def certified_ratio(cost: int, assignment_cost: int, dual_value: Fraction) -> Fraction | None:
+    """cost / dual after asserting the 4x certificate: the due-date
+    assignment costs less than four times the dual, or both are 0 (and
+    the ratio is None)."""
+    if dual_value == 0:
+        assert assignment_cost == 0
+        return None
+    assert assignment_cost < 4 * dual_value
+    return Fraction(cost) / dual_value
 
 
 def solve_primal_dual(inst: Instance, *, debug: bool = False) -> SolveOutcome:
     """Run growing, pruning, and EDD; bundle the 4x certificate."""
     state, dual, trace = grow(inst, debug=debug)
     due = prune(state, inst)
-    schedule = edd_schedule(due, inst)
+    assignment_cost, schedule = finish(due, inst)
     primal = schedule.total_cost
-    assert isinstance(primal, int)
-    if dual.value == 0:
-        assert primal == 0
-        ratio = None
-    else:
-        assert primal < 4 * dual.value
-        ratio = Fraction(primal) / dual.value
+    ratio = certified_ratio(primal, assignment_cost, dual.value)
     return SolveOutcome(due, schedule, primal, dual.value, ratio, trace, dual)
 
 
@@ -252,6 +262,19 @@ def check_dual_feasible(
     return DualFeasibilityReport(True)
 
 
+def _truncated_cover(e: DualEntry, due: Sequence[int], inst: Instance) -> tuple[int, int]:
+    """(cover, D) for the entry's set A and time t: D is the residual
+    demand of (t, A) and cover the truncated size sum, over jobs outside
+    A due at or after t, of min(p_j, D)."""
+    d = residual_demand(e.t, e.covered, inst)
+    cover = sum(
+        min(job.p, d)
+        for job in inst.jobs
+        if not e.covered.contains(job.id) and due[job.id] >= e.t
+    )
+    return cover, d
+
+
 @dataclass(frozen=True)
 class PrimalFeasibilityReport:
     feasible: bool
@@ -300,14 +323,7 @@ def check_primal_feasible(
         if lhs < T - t + 1:
             violations.append((t, None, lhs, T - t + 1))
     for e in dual.entries if dual is not None else ():
-        rhs = residual_demand(e.t, e.covered, inst)
-        if rhs == 0:
-            continue
-        lhs = sum(
-            min(p[j], rhs)
-            for j in range(inst.n)
-            if not e.covered.contains(j) and due[j] >= e.t
-        )
+        lhs, rhs = _truncated_cover(e, due, inst)
         if lhs < rhs:
             violations.append((e.t, e.covered.ids(), lhs, rhs))
     return PrimalFeasibilityReport(not violations, tuple(violations))
@@ -325,16 +341,10 @@ def check_charging(
     """For every raised dual with positive value, the surviving jobs that
     cover its time but were outside its set must contribute strictly
     less than four times its residual demand (truncated sizes)."""
-    p = inst.processing()
     for e in dual.entries:
         if e.y == 0:
             continue
-        d = residual_demand(e.t, e.covered, inst)
-        lhs = sum(
-            min(p[j], d)
-            for j in range(inst.n)
-            if not e.covered.contains(j) and due[j] >= e.t
-        )
+        lhs, d = _truncated_cover(e, due, inst)
         if not lhs < 4 * d:
             return ChargingReport(False, (e.t, e.covered.ids(), lhs, d))
     return ChargingReport(True)

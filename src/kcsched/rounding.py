@@ -17,10 +17,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .edd import Schedule, edd_schedule, feasible_assignment
+from .edd import Schedule
 from .errors import InstanceError
 from .instance import INFEASIBLE, Cost, CostFunction, Instance
-from .primal_dual import DualSolution, GrowTrace, grow, prune
+from .local_ratio import finish
+from .primal_dual import DualSolution, GrowTrace, certified_ratio, grow, prune
 
 __all__ = [
     "IntervalPartition",
@@ -164,22 +165,11 @@ def solve_rounded(
     )
     compressed = prune(state, inst)
     due = tuple(partition.right_end(t) for t in compressed)
-    assignment_cost = 0
-    for j in range(inst.n):
-        rounded_v = rounded.cost_funcs[j].value_at(compressed[j])
-        mapped_v = inst.jobs[j].cost.value_at(due[j])
-        assert rounded_v == mapped_v and isinstance(mapped_v, int)
-        assignment_cost += mapped_v
-    assert feasible_assignment(due, inst)
-    schedule = edd_schedule(due, inst)
+    for j, job in enumerate(inst.jobs):
+        assert rounded.cost_funcs[j].value_at(compressed[j]) == job.cost.value_at(due[j])
+    assignment_cost, schedule = finish(due, inst)
     primal = schedule.total_cost
-    assert isinstance(primal, int) and primal <= assignment_cost
-    if dual.value == 0:
-        assert assignment_cost == 0
-        ratio = None
-    else:
-        assert assignment_cost < 4 * dual.value
-        ratio = Fraction(primal) / dual.value
+    ratio = certified_ratio(primal, assignment_cost, dual.value)
     return RoundedOutcome(
         partition.epsilon,
         partition,

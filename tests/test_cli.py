@@ -190,6 +190,23 @@ def test_malformed_instance_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_deeply_nested_json_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    code, _, err = run(capsys, ["solve", str(path)])
+    assert code == 2
+    assert "malformed JSON" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("algo", ["pd", "lr", "release"])
+def test_epsilon_without_rounded_is_usage_error(capsys, tight_file, command, algo):
+    code, out, err = run(capsys, [command, tight_file, "--algo", algo, "--epsilon", "1/2"])
+    assert code == 2
+    assert out == ""
+    assert "--epsilon applies only to --algo rounded" in err
+
+
 def test_stable_reports_are_byte_identical(capsys, tight_file):
     _, out1, _ = run(capsys, ["solve", "--algo", "pd", "--stable", "--check", tight_file])
     _, out2, _ = run(capsys, ["solve", "--algo", "pd", "--stable", "--check", tight_file])

@@ -131,14 +131,19 @@ def test_edd_infeasible_reports_first_violated_time():
 
 
 def test_edd_infeasible_time_is_the_dense_first_uncovered_time():
+    # every due vector of small no-release instances: the schedule, or the
+    # miss, equals the dense unit sweep's, and a miss names the dense first
+    # uncovered time
     misses = 0
     for seed in range(20):
         inst = gen_random(RandomSpec(seed=seed, n=seed % 3 + 1, p_max=3))
         for due in itertools.product(range(1, inst.horizon + 1), repeat=inst.n):
+            dense = unit_sweep_edd(due, inst)
             try:
-                edd_schedule(due, inst)
+                assert edd_schedule(due, inst) == dense, (seed, due)
                 got = inst.horizon + 1
             except InfeasibleAssignmentError as exc:
+                assert isinstance(dense, EddMiss) and exc.time == dense.due + 1
                 got = exc.time
                 misses += 1
             assert got == first_uncovered_time(due, inst), (seed, due)
@@ -152,14 +157,6 @@ def test_edd_no_idle(tight4):
         assert start == clock
         clock = end
     assert clock == tight4.total_processing
-
-
-def test_preemptive_matches_edd_without_releases(pair_instance):
-    nonpre = edd_schedule((3, 2), pair_instance)
-    pre = preemptive_edd((3, 2), pair_instance)
-    assert isinstance(pre, Schedule)
-    assert pre.completions == nonpre.completions
-    assert pre.segments == nonpre.segments
 
 
 def test_preemptive_example_with_release():

@@ -4,15 +4,20 @@ trace file for pd, lr, release (kappa = 3) and rounded at eps = 1/1000.
 Each case `<algo>-seed<N>` has its instance (`.json`), the expected
 stdout (`.stdout`) and the expected trace (`.jsonl`) under
 tests/data/golden; the trace is written to the relative path
-`trace.jsonl`, which the report echoes.
+`trace.jsonl`, which the report echoes.  Every case is also run as a
+fresh `python -O` interpreter, which must print the same bytes.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import kcsched
 from kcsched.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -23,14 +28,33 @@ def test_golden_cases_cover_every_algorithm():
     assert {case.split("-")[0] for case in CASES} == {"pd", "lr", "release", "rounded"}
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_solve_bytes_match_golden(case, capsys, monkeypatch, tmp_path):
+def solve_argv(case: str) -> list[str]:
     algo = case.split("-")[0]
     argv = ["solve", str(GOLDEN / f"{case}.json"), "--algo", algo,
             "--stable", "--check", "--trace", "trace.jsonl"]
     if algo == "rounded":
         argv += ["--epsilon", "1/1000"]
+    return argv
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_solve_bytes_match_golden(case, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
-    assert main(argv) == 0
+    assert main(solve_argv(case)) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{case}.stdout").read_text()
+    assert (tmp_path / "trace.jsonl").read_text() == (GOLDEN / f"{case}.jsonl").read_text()
+
+
+# `python -O` strips every assert: the same bytes show that the solvers'
+# assertions only check, never compute.
+@pytest.mark.parametrize("case", CASES)
+def test_solve_bytes_match_golden_without_asserts(case, tmp_path):
+    src = str(Path(kcsched.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "kcsched.cli", *solve_argv(case)],
+        capture_output=True, text=True, timeout=60, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / f"{case}.stdout").read_text()
     assert (tmp_path / "trace.jsonl").read_text() == (GOLDEN / f"{case}.jsonl").read_text()

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from kcsched.edd import base_demands_covered, feasible_assignment
+from kcsched.edd import feasible_assignment, peak_demand
 from kcsched.errors import InfeasibleInstanceError
 from kcsched.generators import RandomSpec, gen_random
 from kcsched.instance import INFEASIBLE, CostFunction, Instance, Job
@@ -15,8 +15,17 @@ from kcsched.local_ratio import (
     solve_local_ratio,
     solve_release,
 )
+from kcsched import local_ratio
 from kcsched.oracle import exact_opt
 from kcsched.primal_dual import solve_primal_dual
+from kcsched.rounding import solve_rounded
+
+SOLVERS = {
+    "pd": solve_primal_dual,
+    "lr": solve_local_ratio,
+    "release": solve_release,
+    "rounded": lambda inst, **kw: solve_rounded(inst, Fraction(1, 2), **kw),
+}
 
 
 def brute_force_alpha(g, due, inst, t_star, weights):
@@ -68,7 +77,7 @@ def test_alpha_matches_brute_force_along_runs():
         g = ResidualCosts(inst)
         due = [0] * inst.n
         steps = 0
-        while not base_demands_covered(due, inst):
+        while peak_demand(due, inst)[0]:
             dec = decompose(g, due, inst)
             expected = brute_force_alpha(g, due, inst, dec.t_star, dec.weights)
             assert dec.alpha == expected, (seed, steps)
@@ -132,3 +141,30 @@ def test_requires_no_releases():
     inst = Instance((Job(0, 1, CostFunction(()), 2),))
     with pytest.raises(ValueError):
         solve_local_ratio(inst)
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    """Replace owner.name with a wrapper that records each call's arguments."""
+    calls = []
+    real = getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("debug", [False, True])
+@pytest.mark.parametrize("algo", sorted(SOLVERS))
+def test_debug_adds_ledger_assertions_and_the_audit_always_runs(monkeypatch, algo, debug):
+    inst = gen_random(
+        RandomSpec(seed=3, n=6, p_max=4, v_max=8, kappa=2 if algo == "release" else 1)
+    )
+    ledger = count_calls(monkeypatch, local_ratio.ResidualCosts, "assert_nonnegative")
+    audits = count_calls(monkeypatch, local_ratio, "_charging_bound")
+    out = SOLVERS[algo](inst, debug=debug)
+    assert len(out.trace) > 1
+    assert len(ledger) == (len(out.trace) if debug else 0)
+    assert len(audits) == len(out.trace)  # one per undo decision
