@@ -99,12 +99,9 @@ def _run_checks(inst: Instance, algo: str, outcome) -> dict[str, bool]:
     if algo in ("pd", "rounded"):
         if algo == "pd":
             dual_report = check_dual_feasible(outcome.dual, inst)
-        else:  # the rounded dual is feasible for the modified costs on the grid
+        else:  # the rounded dual is feasible for the rounded costs
             dual_report = check_dual_feasible(
-                outcome.dual,
-                inst,
-                times=outcome.partition.points,
-                cost_funcs=list(outcome.rounded.cost_funcs),
+                outcome.dual, inst, cost_funcs=list(outcome.rounded.cost_funcs)
             )
         checks["dual_feasible"] = dual_report.feasible
         checks["charging"] = check_charging(outcome.dual, due, inst).ok

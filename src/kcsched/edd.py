@@ -11,8 +11,6 @@ completions.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -70,30 +68,24 @@ def interval_residual_demand(r: int, t: int, due: list[int] | DueDates, inst: In
     return max(r + load - t + 1, 0)
 
 
-def peak_demand(
-    due: list[int] | DueDates, inst: Instance, times: Sequence[int] | None = None
-) -> tuple[int, int, int]:
+def peak_demand(due: list[int] | DueDates, inst: Instance) -> tuple[int, int, int]:
     """(demand, t, r) maximizing the residual demand of [r, t) over release
-    dates r and times t on the sorted grid `times` (default 1..T); ties
-    prefer the largest t, then the largest r.  (0, -1, -1) when every
-    demand is zero.
+    dates r and times t in 1..T; ties prefer the largest t, then the
+    largest r.  (0, -1, -1) when every demand is zero.
 
     The demand falls with t between times where a job joins the
-    interval's load, so only the first grid time at or after r + 1 and
-    after each due date + 1 can attain a maximum: one sorted sweep per
-    release date.
+    interval's load, so only r + 1 and each due date + 1 can attain a
+    maximum: one sorted sweep per release date.
     """
-    grid = range(1, inst.horizon + 1) if times is None else times
     by_due = sorted(range(inst.n), key=lambda j: due[j])
     best = (0, -1, -1)
     for r in inst.release_dates:
         members = [j for j in by_due if r <= inst.jobs[j].release <= due[j]]
         load = 0
         k = 0
-        for start in [r + 1] + [due[j] + 1 for j in members]:
-            if start > grid[-1]:
+        for t in [r + 1] + [due[j] + 1 for j in members]:
+            if t > inst.horizon:
                 break
-            t = grid[bisect_left(grid, start)]
             while k < len(members) and due[members[k]] < t:
                 load += inst.jobs[members[k]].p
                 k += 1

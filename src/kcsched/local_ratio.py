@@ -1,10 +1,10 @@
 """Local-ratio engine shared by every solver in the package.
 
 Starting from the release dates (all zero without release dates), each
-step finds the interval [r, t) with the largest residual demand on a
-time grid, splits the residual cost vector into a scaled model part
-(truncated sizes of the jobs that could newly cover that interval) and
-a remainder that stays nonnegative, and raises the due date of a job
+step finds the interval [r, t) with the largest residual demand,
+splits the residual cost vector into a scaled model part (truncated
+sizes of the jobs that could newly cover that interval) and a
+remainder that stays nonnegative, and raises the due date of a job
 whose remainder hit zero.  Once feasible, the due-date raises are
 undone in reverse order whenever feasibility survives, and the
 charging bound is asserted after every undo decision.  `finish` then
@@ -12,20 +12,32 @@ prices the surviving due dates and schedules them by EDD.
 
 The scales are exactly the raised duals of the primal-dual scheme and
 the undo pass is its reverse delete (Bar-Yehuda and Rawitz, 2005), so
-`primal_dual.grow` and `prune` are views of this engine on the grid
-1..T or on a compressed grid, and `solve_release` is the same run over
-several release dates, where the residual demand lives on intervals
-[r, t) and the guarantee degrades to 4 kappa.  All four solvers end in
+`primal_dual.grow` and `prune` are views of this engine, on the jobs'
+costs or on costs rounded up to be constant on the intervals of a
+partition, and `solve_release` is the same run over several release
+dates, where the residual demand lives on intervals [r, t) and the
+guarantee degrades to 4 kappa.  All four solvers end in
 `reverse_delete` and `finish`; their `debug` keyword adds the ledger
-assertions of `raise_due_dates`.  The grid is only ever bisected, never
-walked: every step visits the breakpoints, charge thresholds and due
-dates, so the work does not depend on T.
+assertions of `raise_due_dates`.
+
+Why the run is polynomial.  Let S hold T, every release date, and
+b - 1 for every breakpoint time b of the costs the engine runs on.
+Every due date lies in S at all times, so the engine makes at most
+n * |S| raises, however large T is.  Due dates start at the release
+dates.  A raise moves a due date to the right end of a residual piece,
+which is T, a breakpoint - 1, or a charge threshold - 1.  A threshold
+is a peak time t*, which is r + 1 for a release date r or d + 1 for a
+due date d current at the time of its split; by induction both r and
+d lie in S.  Each raise lifts one due date strictly, so every job
+rises at most |S| times.  Every step visits only breakpoints, charge
+thresholds, release dates and due dates, so its work does not depend
+on T either.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, insort
+from bisect import insort
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,11 +63,10 @@ __all__ = [
 
 
 class ResidualCosts:
-    """Residual cost vector on a time grid: base costs minus accumulated
-    scaled model terms.
+    """Residual cost vector on 1..T: base costs minus accumulated scaled
+    model terms.
 
-    The base costs are the jobs' own unless `cost_funcs` replaces them,
-    and the grid is 1..T unless `times` gives a sorted subset of it.
+    The base costs are the jobs' own unless `cost_funcs` replaces them.
     Every subtracted model term is a single-threshold step, so each job
     carries a threshold-sorted list of (threshold, amount) charges and
     evaluation is the base cost minus the charges with threshold at or
@@ -63,14 +74,9 @@ class ResidualCosts:
     infeasible.
     """
 
-    def __init__(
-        self,
-        inst: Instance,
-        cost_funcs: Sequence[CostFunction] | None = None,
-        times: Sequence[int] | None = None,
-    ):
+    def __init__(self, inst: Instance, cost_funcs: Sequence[CostFunction] | None = None):
         self.base = [job.cost for job in inst.jobs] if cost_funcs is None else list(cost_funcs)
-        self.times = range(1, inst.horizon + 1) if times is None else tuple(times)
+        self.horizon = inst.horizon
         self.charges: list[list[tuple[int, Fraction]]] = [[] for _ in inst.jobs]
 
     def value(self, job: int, t: int):
@@ -84,30 +90,27 @@ class ResidualCosts:
         return total
 
     def pieces(self, job: int, start: int) -> list[tuple[Fraction, int]]:
-        """(residual, right end) for each run of grid times from `start` on
-        which the residual cost of `job` is constant, up to the first time
-        with an infeasible base cost.  A run's right end is the last grid
-        time before the next base breakpoint or charge threshold; the last
-        run ends at the end of the grid."""
-        grid = self.times
-        end = grid[-1]
+        """(residual, right end) for each run of times from `start` on which
+        the residual cost of `job` is constant, up to the first time with
+        an infeasible base cost.  A run ends just before the next base
+        breakpoint or charge threshold; the last run ends at T."""
+        end = self.horizon
         charges = self.charges[job]
         cuts = {start}
         cuts.update(b for b in self.base[job].times if start < b <= end)
         cuts.update(th for th, _ in charges if start < th <= end)
-        starts = sorted({bisect_left(grid, c) for c in cuts})
+        starts = sorted(cuts)
         paid = Fraction(0)
         k = 0
         out = []
-        for i, pos in enumerate(starts):
-            s = grid[pos]
+        for i, s in enumerate(starts):
             f = self.base[job].value_at(s)
             if f is INFEASIBLE:
                 break  # base costs nondecreasing: later times stay infeasible
             while k < len(charges) and charges[k][0] <= s:
                 paid += charges[k][1]
                 k += 1
-            right = grid[starts[i + 1] - 1] if i + 1 < len(starts) else end
+            right = starts[i + 1] - 1 if i + 1 < len(starts) else end
             out.append((f - paid, right))
         return out
 
@@ -120,7 +123,7 @@ class ResidualCosts:
 
     def assert_nonnegative(self, jobs: tuple[int, ...]) -> None:
         for job in jobs:
-            for v, right in self.pieces(job, self.times[0]):
+            for v, right in self.pieces(job, 1):
                 assert v >= 0, f"residual cost of job {job} negative up to {right}"
 
 
@@ -140,9 +143,9 @@ class Decomposition:
 
 
 def decompose(g: ResidualCosts, due: list[int], inst: Instance) -> Decomposition:
-    """Split the residual costs at the interval of maximum residual demand
-    on the grid of `g`; `r_star` is 0 without release dates."""
-    d0, t_star, r_star = peak_demand(due, inst, g.times)
+    """Split the residual costs at the interval of maximum residual demand;
+    `r_star` is 0 without release dates."""
+    d0, t_star, r_star = peak_demand(due, inst)
     if d0 == 0:
         raise ValueError("decompose requires an infeasible assignment")
     return _split(g, due, inst, d0, t_star, r_star)
@@ -154,7 +157,7 @@ def _split(
     """Active jobs are released inside [r_star, t_star) and due before
     t_star; their model coefficient is their size truncated to the
     interval's demand.  The scale is the smallest residual-cost-to-
-    coefficient ratio over active jobs and grid times at or past t_star;
+    coefficient ratio over active jobs and times at or past t_star;
     the minimizing pair (largest time, then smallest job) is returned."""
     weights = tuple(
         (j, min(job.p, d0))
@@ -193,17 +196,20 @@ class Frame:
 def raise_due_dates(
     g: ResidualCosts, inst: Instance, *, debug: bool = False
 ) -> tuple[list[Frame], list[int]]:
-    """Split and raise from the release dates until no interval on the
-    grid of `g` carries residual demand; returns the frames in order and
-    the raised due dates.  `debug` asserts the ledger after every split:
-    zero residual at each due date, nonnegative remainders, and a tight
-    raised pair."""
+    """Split and raise from the release dates until no interval carries
+    residual demand; returns the frames in order and the raised due
+    dates.  `debug` asserts the ledger after every split: zero residual
+    at each due date, nonnegative remainders, and a tight raised pair.
+    The number of frames is asserted against the closure bound n * |S|
+    of the module docstring."""
     n = inst.n
     due = [job.release for job in inst.jobs]
     frames: list[Frame] = []
-    max_depth = n * len(g.times)
+    closure = {inst.horizon, *inst.release_dates}
+    closure.update(b - 1 for f in g.base for b in f.times)
+    max_depth = n * len(closure)
     while True:
-        d0, t_star, r_star = peak_demand(due, inst, g.times)
+        d0, t_star, r_star = peak_demand(due, inst)
         if d0 == 0:
             return frames, due
         if debug:
@@ -218,17 +224,12 @@ def raise_due_dates(
             assert g.value(dec.job, dec.time) == 0
         assert dec.time > due[dec.job]
         due[dec.job] = dec.time
-        assert len(frames) <= max_depth, "due dates must rise every call"
+        assert len(frames) <= max_depth, "due dates must stay in the closure S"
 
 
-def reverse_delete(
-    due: list[int],
-    frames: Sequence[Frame],
-    inst: Instance,
-    times: Sequence[int] | None = None,
-) -> list[bool]:
+def reverse_delete(due: list[int], frames: Sequence[Frame], inst: Instance) -> list[bool]:
     """Undo the raises of `frames` from the last to the first whenever no
-    interval on the grid is left with residual demand; `due` ends as the
+    interval is left with residual demand; `due` ends as the
     pruned due dates.  Returns whether each undo was kept.
 
     After each decision the charging bound of the paper is asserted for
@@ -244,7 +245,7 @@ def reverse_delete(
         # be feasible either: demands only grow as due dates fall.
         if due[job] == time:
             due[job] = frame.old_due
-            kept[i] = peak_demand(due, inst, times)[0] == 0
+            kept[i] = peak_demand(due, inst)[0] == 0
             if not kept[i]:
                 due[job] = time
         _charging_bound(frame, due, 4 * inst.kappa)
@@ -316,7 +317,7 @@ def solve_release(inst: Instance, *, debug: bool = False) -> LocalRatioOutcome:
 
 
 def _solve(inst: Instance, *, debug: bool, release: bool) -> LocalRatioOutcome:
-    """Engine run on the grid 1..T, reverse delete (which asserts the
+    """Engine run on the jobs' costs, reverse delete (which asserts the
     4 kappa charging bound per undo) and `finish`; release runs keep
     r_star in the trace.  `debug` turns on the ledger assertions."""
     frames, rho = raise_due_dates(ResidualCosts(inst), inst, debug=debug)

@@ -20,12 +20,12 @@ equalities, so floating point is never used.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .edd import Schedule, peak_demand
+from .edd import Schedule, _require_assigned, peak_demand
 from .instance import (
     INFEASIBLE,
     Cost,
@@ -104,6 +104,7 @@ class GrowState:
     every covered set up to t), so membership reduces to one frontier
     per job: the largest committed time.  Each engine frame commits the
     pair (frame.dec.job, frame.dec.time) over the frontier frame.old_due.
+    `times` is the grid on which the records and `prune` report times.
     """
 
     frontier: list[int]
@@ -135,13 +136,21 @@ def grow(
     (ties to the largest time), raises its dual variable until some
     constraint with a finite right-hand side becomes tight, and commits
     the tight (job, time) pair with the largest time, then smallest id.
-    Terminates when every residual demand on the grid (1..T unless
-    `times` is given) is zero.  `debug` turns on the engine's ledger
-    assertions and checks the dual of every iteration.
+    Terminates when every residual demand is zero.  `debug` turns on the
+    engine's ledger assertions and checks the dual of every iteration.
+
+    The engine runs on `cost_funcs` (the jobs' own costs by default).
+    A sorted grid `times` that starts at 1 and holds every breakpoint of
+    those costs keeps them constant on its intervals, so every peak time
+    is a grid point and every raise lands on an interval's right end;
+    the records and `prune` report each time as its interval's left end.
     """
     if inst.has_releases:
         raise ValueError("grow requires an instance without release dates")
-    g = ResidualCosts(inst, cost_funcs, times)
+    g = ResidualCosts(inst, cost_funcs)
+    times = range(1, inst.horizon + 1) if times is None else tuple(times)
+    if 1 not in times[:1] or any(snap_left(times, b) != b for f in g.base for b in f.times):
+        raise ValueError("grow needs a grid that starts at 1 and holds every cost breakpoint")
     frames, frontier = raise_due_dates(g, inst, debug=debug)
     entries: list[DualEntry] = []
     records: list[GrowRecord] = []
@@ -151,8 +160,9 @@ def grow(
             (j for j, due in enumerate(f.due_snapshot) if due >= d.t_star), inst
         )
         entries.append(DualEntry(d.t_star, covered, d.alpha))
+        tight = snap_left(times, d.time)
         records.append(
-            GrowRecord(len(records) + 1, d.t_star, covered, d.demand, d.alpha, d.job, d.time)
+            GrowRecord(len(records) + 1, d.t_star, covered, d.demand, d.alpha, d.job, tight)
         )
     if debug:
         # With every alpha >= 0, each left side only grows with the
@@ -162,30 +172,32 @@ def grow(
             assert e.y >= 0, f"negative dual step {e.y} at iteration {k}"
 
         def prefix_report(k: int) -> DualFeasibilityReport:
-            return check_dual_feasible(
-                DualSolution.from_entries(entries[:k], inst),
-                inst,
-                times=g.times,
-                cost_funcs=g.base,
-            )
+            dual = DualSolution.from_entries(entries[:k], inst)
+            return check_dual_feasible(dual, inst, cost_funcs=g.base)
 
         if not prefix_report(len(entries)).feasible:
             for k in range(1, len(entries) + 1):
                 report = prefix_report(k)
                 assert report.feasible, f"dual infeasible after iteration {k}: {report.violation}"
-    state = GrowState(frontier, frames, g.times)
+    state = GrowState(frontier, frames, times)
     return state, DualSolution.from_entries(entries, inst), tuple(records)
 
 
 def prune(state: GrowState, inst: Instance) -> tuple[int, ...]:
     """Reverse-delete: drop committed pairs whose removal keeps every
-    demand on the grid covered; each job ends up with exactly one due date.
-    The engine's reverse delete asserts the charging bound per undo."""
+    demand covered; each job ends up with exactly one due date, reported
+    as the left endpoint of its interval on the grid of `state`.  The
+    engine's reverse delete asserts the charging bound per undo."""
     due = list(state.frontier)
-    reverse_delete(due, state.frames, inst, state.times)
+    reverse_delete(due, state.frames, inst)
     assert all(d >= 1 for d in due), "pruning must leave exactly one pair per job"
-    assert peak_demand(due, inst, state.times)[0] == 0
-    return tuple(due)
+    assert peak_demand(due, inst)[0] == 0
+    return tuple(snap_left(state.times, d) for d in due)
+
+
+def snap_left(points: Sequence[int], t: int) -> int:
+    """The largest of the sorted `points` at or below t."""
+    return points[bisect_right(points, t) - 1]
 
 
 def certified_ratio(cost: int, assignment_cost: int, dual_value: Fraction) -> Fraction | None:
@@ -224,23 +236,20 @@ def check_dual_feasible(
     dual: DualSolution,
     inst: Instance,
     *,
-    times: Sequence[int] | None = None,
     cost_funcs: list[CostFunction] | None = None,
 ) -> DualFeasibilityReport:
     """Verify every dual constraint with exact rationals.
 
-    For each job j and grid time s (1..T unless `times` is given), the
-    weighted sum of raised duals whose time is at most s and whose set
-    excludes j must stay at or below the job's cost at s; infeasible
-    right-hand sides are vacuous.  Reports the first violation in
-    (job, s) scan order.
+    For each job j and time s in 1..T, the weighted sum of raised duals
+    whose time is at most s and whose set excludes j must stay at or
+    below the job's cost at s (the jobs' own costs unless `cost_funcs`
+    replaces them); infeasible right-hand sides are vacuous.  Reports
+    the first violation in (job, s) scan order.
 
-    The left side only changes at the first grid time at or after a dual
-    entry time, and the cost is nonnegative and never falls.  So a
-    violation at s also holds at the last such time at or before s, and
-    only those times are visited.
+    The left side only changes at a dual entry time, and the cost is
+    nonnegative and never falls.  So a violation at s also holds at the
+    last entry time at or before s, and only entry times are visited.
     """
-    tgrid = range(1, inst.horizon + 1) if times is None else times
     costs = [j.cost for j in inst.jobs] if cost_funcs is None else list(cost_funcs)
     for j in range(inst.n):
         events = sorted(
@@ -250,7 +259,7 @@ def check_dual_feasible(
         )
         lhs = Fraction(0)
         idx = 0
-        for s in sorted({tgrid[bisect_left(tgrid, t)] for t, _ in events if t <= tgrid[-1]}):
+        for s in sorted({t for t, _ in events if t <= inst.horizon}):
             while idx < len(events) and events[idx][0] <= s:
                 lhs += events[idx][1]
                 idx += 1
@@ -307,9 +316,7 @@ def check_primal_feasible(
     """
     if inst.has_releases:
         raise ValueError("check_primal_feasible applies to instances without release dates")
-    for j, d in enumerate(due):
-        if d < 1:
-            raise ValueError(f"job {j} has no due date assigned")
+    _require_assigned(due, inst)
     T = inst.horizon
     p = inst.processing()
     violations = []
@@ -341,6 +348,7 @@ def check_charging(
     """For every raised dual with positive value, the surviving jobs that
     cover its time but were outside its set must contribute strictly
     less than four times its residual demand (truncated sizes)."""
+    _require_assigned(due, inst)
     for e in dual.entries:
         if e.y == 0:
             continue

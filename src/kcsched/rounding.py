@@ -1,19 +1,20 @@
 """Interval-indexed reduction: cost classes anchored at their first
-value, modified costs on the class left endpoints, primal-dual solve on
-the compressed time grid, and mapping back to original due dates.
+value, costs rounded up to be constant on the partition intervals, and
+the primal-dual solve on those rounded costs.
 
 Per job, times are grouped into classes where the cost stays within a
 factor 1 + epsilon of the class's first value, its anchor (class 0
 holds the zero-cost times, infeasible times form a terminal class).
-The union of class left endpoints over all jobs is the compressed grid;
-solving there degrades the guarantee by at most 1 + epsilon while the
-grid stays polynomially small.  Opening a class costs one integer
-comparison, so the partition is cheap at any epsilon.
+The union of class left endpoints over all jobs is the partition; the
+rounded cost on an interval is the cost at its right end, which loses
+at most a factor 1 + epsilon while the partition stays polynomially
+small.  Opening a class costs one integer comparison, so the partition
+is cheap at any epsilon.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from .edd import Schedule
 from .errors import InstanceError
 from .instance import INFEASIBLE, Cost, CostFunction, Instance
 from .local_ratio import finish
-from .primal_dual import DualSolution, GrowTrace, certified_ratio, grow, prune
+from .primal_dual import DualSolution, GrowTrace, certified_ratio, grow, prune, snap_left
 
 __all__ = [
     "IntervalPartition",
@@ -35,7 +36,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntervalPartition:
-    """Compressed grid: sorted endpoint times starting at 1; interval i is
+    """Partition of 1..T: sorted left endpoints starting at 1; interval i is
     [points[i], points[i+1] - 1], the last one runs to the horizon."""
 
     epsilon: Fraction
@@ -61,7 +62,7 @@ class IntervalPartition:
         """Left endpoint of the interval containing t."""
         if not 1 <= t <= self.horizon:
             raise InstanceError(f"time {t} out of range [1, {self.horizon}]")
-        return self.points[bisect_right(self.points, t) - 1]
+        return snap_left(self.points, t)
 
 
 def build_partition(inst: Instance, epsilon: Fraction | int | str) -> IntervalPartition:
@@ -110,9 +111,9 @@ def build_partition(inst: Instance, epsilon: Fraction | int | str) -> IntervalPa
 
 @dataclass(frozen=True)
 class RoundedInstance:
-    """Base instance plus modified costs defined on the compressed grid:
-    the cost of an interval's left endpoint is the base cost at its
-    right endpoint, so f <= f' <= (1+eps) f holds pointwise there."""
+    """Base instance plus rounded costs: on each partition interval the
+    cost is the base cost at the interval's right end, so f <= f' <=
+    (1+eps) f holds pointwise."""
 
     base: Instance
     partition: IntervalPartition
@@ -151,12 +152,12 @@ class RoundedOutcome:
 def solve_rounded(
     inst: Instance, epsilon: Fraction | int | str, *, debug: bool = False
 ) -> RoundedOutcome:
-    """Primal-dual solve on the compressed grid, mapped back to real times.
+    """Primal-dual solve on the rounded costs, the paper's reduction.
 
-    Chosen left endpoints become due dates at their interval's right
-    endpoint, whose base cost equals the modified cost paid on the grid;
-    the schedule therefore costs at most four times the grid dual, which
-    itself is within 1 + epsilon of certifying the true optimum.
+    The engine's due dates are interval right ends, where the base cost
+    equals the rounded cost paid; the trace and `compressed_due_dates`
+    give interval left ends.  The schedule costs at most four times the
+    rounded dual, itself within 1 + epsilon of certifying the optimum.
     """
     partition = build_partition(inst, epsilon)
     rounded = RoundedInstance(inst, partition)
@@ -187,7 +188,7 @@ def solve_rounded(
 
 
 def partition_to_json(rounded: RoundedInstance) -> dict:
-    """Interval list plus the per-job modified cost table on the grid."""
+    """Interval list plus the per-job rounded cost table on the partition."""
     table = []
     for j, func in enumerate(rounded.cost_funcs):
         row = []

@@ -1,10 +1,11 @@
 """Byte-for-byte CLI goldens: `solve --stable --check --trace` stdout and
-trace file for pd, lr, release (kappa = 3) and rounded at eps = 1/1000.
+trace file for pd, lr, release (kappa = 3) and rounded at eps = 1/1000,
+and at eps = 1, where the partition rounds costs up.
 
-Each case `<algo>-seed<N>` has its instance (`.json`), the expected
-stdout (`.stdout`) and the expected trace (`.jsonl`) under
-tests/data/golden; the trace is written to the relative path
-`trace.jsonl`, which the report echoes.  Every case is also run as a
+Each case `<algo>-seed<N>` (or `rounded-eps<E>-seed<N>`) has its
+instance (`.json`), the expected stdout (`.stdout`) and the expected
+trace (`.jsonl`) under tests/data/golden; the trace is written to the
+relative path `trace.jsonl`, which the report echoes.  Every case is also run as a
 fresh `python -O` interpreter, which must print the same bytes.
 """
 
@@ -29,11 +30,12 @@ def test_golden_cases_cover_every_algorithm():
 
 
 def solve_argv(case: str) -> list[str]:
-    algo = case.split("-")[0]
+    algo, *tags = case.split("-")
     argv = ["solve", str(GOLDEN / f"{case}.json"), "--algo", algo,
             "--stable", "--check", "--trace", "trace.jsonl"]
     if algo == "rounded":
-        argv += ["--epsilon", "1/1000"]
+        eps = tags[0][3:] if tags[0].startswith("eps") else "1/1000"
+        argv += ["--epsilon", eps]
     return argv
 
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcsched.edd import feasible_assignment, peak_demand
 from kcsched.errors import InfeasibleInstanceError
@@ -12,13 +14,16 @@ from kcsched.local_ratio import (
     ResidualCosts,
     decompose,
     lr_trace_to_jsonl,
+    raise_due_dates,
     solve_local_ratio,
     solve_release,
 )
 from kcsched import local_ratio
 from kcsched.oracle import exact_opt
-from kcsched.primal_dual import solve_primal_dual
-from kcsched.rounding import solve_rounded
+from kcsched.primal_dual import grow, solve_primal_dual
+from kcsched.rounding import RoundedInstance, build_partition, solve_rounded
+
+from conftest import instances
 
 SOLVERS = {
     "pd": solve_primal_dual,
@@ -168,3 +173,33 @@ def test_debug_adds_ledger_assertions_and_the_audit_always_runs(monkeypatch, alg
     assert len(out.trace) > 1
     assert len(ledger) == (len(out.trace) if debug else 0)
     assert len(audits) == len(out.trace)  # one per undo decision
+
+
+def closure(inst, costs) -> set[int]:
+    """S of the engine's docstring: T, the release dates, and b - 1 for
+    every breakpoint time b of the costs the engine runs on."""
+    return {inst.horizon, *inst.release_dates, *(b - 1 for f in costs for b in f.times)}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.booleans().flatmap(
+        lambda rel: instances(max_n=6, max_p=6, releases=rel, allow_infeasible=True)
+    ),
+    st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 10), Fraction(1, 1000)]),
+)
+def test_every_raise_stays_in_the_breakpoint_closure(inst, eps):
+    runs = [(lambda: raise_due_dates(ResidualCosts(inst), inst)[0], [j.cost for j in inst.jobs])]
+    if not inst.has_releases:
+        part = build_partition(inst, eps)
+        rounded = list(RoundedInstance(inst, part).cost_funcs)
+        runs.append((lambda: grow(inst)[0].frames, [j.cost for j in inst.jobs]))
+        runs.append((lambda: grow(inst, times=part.points, cost_funcs=rounded)[0].frames, rounded))
+    for run, costs in runs:
+        try:
+            frames = run()
+        except InfeasibleInstanceError:
+            return
+        s = closure(inst, costs)
+        assert all(f.dec.time in s and f.old_due in s for f in frames)
+        assert len(frames) <= inst.n * len(s)

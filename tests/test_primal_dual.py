@@ -178,6 +178,17 @@ def test_pair_times_nondecreasing_per_job():
             last[job] = t
 
 
+def test_grow_grid_must_start_at_1_and_hold_every_breakpoint(tight4):
+    # tight4 has cost breakpoints at 4, 11 and 12 on T = 16
+    for times in [(1, 4, 12), (2, 4, 11, 12), (), (4, 11, 12)]:
+        with pytest.raises(ValueError):
+            grow(tight4, times=times)
+    grid = (1, 4, 8, 11, 12)
+    state, _, trace = grow(tight4, times=grid)
+    assert {r.tight_time for r in trace} <= set(grid)
+    assert set(prune(state, tight4)) <= set(grid)
+
+
 def test_prune_single_due_date_and_feasible(tight4):
     state, _, _ = grow(tight4)
     due = prune(state, tight4)
@@ -253,6 +264,18 @@ def test_check_primal_requires_assigned_dates(tight4):
         check_primal_feasible((0, 11, 16, 16), tight4)
 
 
+@pytest.mark.parametrize(
+    "due", [(11, 11, 16, 16, 3), (11, 11, 16, 99), (0, 11, 16, 16), (11, 11, 16)]
+)
+def test_checkers_reject_malformed_due_dates(tight4, due):
+    # one entry too many, a due date past T = 16, an unassigned job, one too few
+    dual = solve_primal_dual(tight4).dual
+    with pytest.raises(ValueError):
+        check_primal_feasible(due, tight4, dual=dual)
+    with pytest.raises(ValueError):
+        check_charging(dual, due, tight4)
+
+
 def test_check_primal_base_coverage_decides_every_truncated_inequality():
     # exhaustive on small instances: every due-date vector, every set A
     # and every time t of the knapsack-cover relaxation
@@ -277,9 +300,8 @@ def test_check_primal_base_coverage_decides_every_truncated_inequality():
     assert len(verdicts) == 2805 and 0 < sum(verdicts) < len(verdicts)
 
 
-def dense_dual_report(dual, inst, times=None, cost_funcs=None):
-    """Dense oracle for `check_dual_feasible`: every grid time of every job."""
-    tgrid = range(1, inst.horizon + 1) if times is None else times
+def dense_dual_report(dual, inst, cost_funcs=None):
+    """Dense oracle for `check_dual_feasible`: every time 1..T of every job."""
     costs = [j.cost for j in inst.jobs] if cost_funcs is None else list(cost_funcs)
     for j in range(inst.n):
         events = sorted(
@@ -289,7 +311,7 @@ def dense_dual_report(dual, inst, times=None, cost_funcs=None):
         )
         lhs = Fraction(0)
         idx = 0
-        for s in tgrid:
+        for s in range(1, inst.horizon + 1):
             while idx < len(events) and events[idx][0] <= s:
                 lhs += events[idx][1]
                 idx += 1
@@ -341,10 +363,10 @@ def test_sparse_dual_check_equals_dense_scan():
         duals = [out.dual] + [tampered(out.dual, inst, rng) for _ in range(4)]
         for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 10)):
             r = solve_rounded(inst, eps)
-            grid = {"times": r.partition.points, "cost_funcs": list(r.rounded.cost_funcs)}
+            rounded = {"cost_funcs": list(r.rounded.cost_funcs)}
             for dual in [r.dual] + [tampered(r.dual, inst, rng) for _ in range(4)]:
-                report = check_dual_feasible(dual, inst, **grid)
-                assert report == dense_dual_report(dual, inst, **grid), (seed, eps)
+                report = check_dual_feasible(dual, inst, **rounded)
+                assert report == dense_dual_report(dual, inst, **rounded), (seed, eps)
                 verdicts.append(report.feasible)
                 duals.append(dual)
         for dual in duals:
@@ -367,9 +389,7 @@ def test_sparse_dual_check_equals_dense_scan_on_any_grid(inst, rng):
         for _ in range(rng.randint(0, 5))
     ]
     dual = DualSolution.from_entries(entries, inst)
-    grid = sorted({1, *rng.sample(range(1, inst.horizon + 1), rng.randint(0, inst.horizon))})
     assert check_dual_feasible(dual, inst) == dense_dual_report(dual, inst)
-    assert check_dual_feasible(dual, inst, times=grid) == dense_dual_report(dual, inst, grid)
 
 
 def test_sparse_primal_check_equals_dense_report_at_run_starts():

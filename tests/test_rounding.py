@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from kcsched.edd import edd_schedule
 from kcsched.errors import InstanceError
-from kcsched.generators import RandomSpec, gen_random
+from kcsched.generators import RandomSpec, gen_random, gen_tight
 from kcsched.instance import INFEASIBLE, CostFunction, Instance, Job
 from kcsched.oracle import exact_opt
 from kcsched.primal_dual import check_primal_feasible, solve_primal_dual
@@ -274,3 +274,24 @@ def test_partition_json_export(tight4):
     assert doc["intervals"] == [[1, 3], [4, 10], [11, 11], [12, 16]]
     assert doc["modified_costs"][0] == [0, 4, 4, "INF"]
     assert doc["epsilon"] == "1/2"
+
+
+def test_rounded_solve_is_primal_dual_on_the_rounded_costs():
+    # the paper's reduction: round each cost up to be constant on the
+    # partition intervals, then run the same primal-dual on those costs
+    suite = [gen_tight(p) for p in (4, 5, 9)] + [
+        gen_random(RandomSpec(seed=seed, n=seed % 8 + 1, p_max=20, v_max=60))
+        for seed in range(40)
+    ]
+    for inst in suite:
+        for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 10), Fraction(1, 1000)):
+            out = solve_rounded(inst, eps)
+            jobs = tuple(
+                Job(j.id, j.p, f) for j, f in zip(inst.jobs, out.rounded.cost_funcs)
+            )
+            pd = solve_primal_dual(Instance(jobs))
+            assert out.due_dates == pd.due_dates
+            assert out.dual == pd.dual and out.dual_value == pd.dual_value
+            points = set(out.partition.points)
+            assert {r.tight_time for r in out.trace} <= points
+            assert set(out.compressed_due_dates) <= points
