@@ -12,7 +12,6 @@ from .edd import (
     edd_schedule,
     feasible_assignment,
     preemptive_edd,
-    schedule_to_json,
 )
 from .errors import (
     InfeasibleAssignmentError,
@@ -34,7 +33,6 @@ from .instance import (
     serialize_instance,
 )
 from .local_ratio import (
-    Decomposition,
     LocalRatioOutcome,
     ResidualCosts,
     decompose,

@@ -97,13 +97,9 @@ def _run_checks(inst: Instance, algo: str, outcome) -> dict[str, bool]:
     checks: dict[str, bool] = {}
     due = outcome.due_dates
     if algo in ("pd", "rounded"):
-        if algo == "pd":
-            dual_report = check_dual_feasible(outcome.dual, inst)
-        else:  # the rounded dual is feasible for the rounded costs
-            dual_report = check_dual_feasible(
-                outcome.dual, inst, cost_funcs=list(outcome.rounded.cost_funcs)
-            )
-        checks["dual_feasible"] = dual_report.feasible
+        # the rounded dual is feasible for the rounded instance
+        cost_inst = outcome.rounded.instance if algo == "rounded" else inst
+        checks["dual_feasible"] = check_dual_feasible(outcome.dual, cost_inst).feasible
         checks["charging"] = check_charging(outcome.dual, due, inst).ok
         checks["primal_feasible"] = check_primal_feasible(
             due, inst, dual=outcome.dual

@@ -23,7 +23,6 @@ __all__ = [
     "feasible_assignment",
     "edd_schedule",
     "preemptive_edd",
-    "schedule_to_json",
 ]
 
 DueDates = tuple[int, ...]
@@ -46,26 +45,9 @@ class EddMiss:
     due: int
 
 
-def schedule_to_json(sched: Schedule) -> dict:
-    return {
-        "segments": [[j, s, e] for j, s, e in sched.segments],
-        "completions": list(sched.completions),
-        "cost": "INF" if not isinstance(sched.total_cost, int) else sched.total_cost,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Feasibility
 # ---------------------------------------------------------------------------
-
-
-def interval_residual_demand(r: int, t: int, due: list[int] | DueDates, inst: Instance) -> int:
-    """Residual demand of interval [r, t): work released at or after r whose
-    due date has it finish before t, measured against the room up to t."""
-    load = sum(
-        job.p for job in inst.jobs if r <= job.release <= due[job.id] < t
-    )
-    return max(r + load - t + 1, 0)
 
 
 def peak_demand(due: list[int] | DueDates, inst: Instance) -> tuple[int, int, int]:

@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "SchedError",
+    "InstanceError",
+    "InfeasibleInstanceError",
+    "InfeasibleAssignmentError",
+    "SizeLimitError",
+]
+
 
 class SchedError(Exception):
     """Base class for all errors raised by this package."""

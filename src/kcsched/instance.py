@@ -195,10 +195,6 @@ class JobSet:
     total_size: int
 
     @classmethod
-    def empty(cls) -> "JobSet":
-        return cls(0, 0)
-
-    @classmethod
     def from_ids(cls, ids: Iterable[int], inst: Instance) -> "JobSet":
         mask = 0
         total = 0
@@ -258,7 +254,7 @@ def parse_instance(text: str) -> Instance:
     """Parse an instance from JSON text; horizon and kappa are recomputed."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, or an integer past the digit limit
         raise InstanceError(f"malformed JSON: {exc}") from exc
     except RecursionError as exc:
         raise InstanceError("malformed JSON: nested too deeply") from exc

@@ -12,19 +12,19 @@ prices the surviving due dates and schedules them by EDD.
 
 The scales are exactly the raised duals of the primal-dual scheme and
 the undo pass is its reverse delete (Bar-Yehuda and Rawitz, 2005), so
-`primal_dual.grow` and `prune` are views of this engine, on the jobs'
-costs or on costs rounded up to be constant on the intervals of a
-partition, and `solve_release` is the same run over several release
-dates, where the residual demand lives on intervals [r, t) and the
-guarantee degrades to 4 kappa.  All four solvers end in
-`reverse_delete` and `finish`; their `debug` keyword adds the ledger
-assertions of `raise_due_dates`.
+`primal_dual.grow` and `prune` are views of this engine, the rounded
+solver is the same view of an instance whose costs are rounded up to
+be constant on the intervals of a partition, and `solve_release` is
+the same run over several release dates, where the residual demand
+lives on intervals [r, t) and the guarantee degrades to 4 kappa.  All
+four solvers end in `reverse_delete` and `finish`; their `debug`
+keyword adds the ledger assertions of `raise_due_dates`.
 
 Why the run is polynomial.  Let S hold T, every release date, and
-b - 1 for every breakpoint time b of the costs the engine runs on.
-Every due date lies in S at all times, so the engine makes at most
-n * |S| raises, however large T is.  Due dates start at the release
-dates.  A raise moves a due date to the right end of a residual piece,
+b - 1 for every breakpoint time b of the instance's costs.  Every due
+date lies in S at all times, so the engine makes at most n * |S|
+raises, however large T is.  Due dates start at the release dates.
+A raise moves a due date to the right end of a residual piece,
 which is T, a breakpoint - 1, or a charge threshold - 1.  A threshold
 is a peak time t*, which is r + 1 for a release date r or d + 1 for a
 due date d current at the time of its split; by induction both r and
@@ -44,11 +44,10 @@ from fractions import Fraction
 
 from .edd import Schedule, peak_demand, preemptive_edd
 from .errors import InfeasibleInstanceError
-from .instance import INFEASIBLE, CostFunction, Instance
+from .instance import INFEASIBLE, Instance
 
 __all__ = [
     "ResidualCosts",
-    "Decomposition",
     "Frame",
     "LocalRatioRecord",
     "LocalRatioOutcome",
@@ -63,10 +62,9 @@ __all__ = [
 
 
 class ResidualCosts:
-    """Residual cost vector on 1..T: base costs minus accumulated scaled
-    model terms.
+    """Residual cost vector on 1..T: the jobs' costs minus accumulated
+    scaled model terms.
 
-    The base costs are the jobs' own unless `cost_funcs` replaces them.
     Every subtracted model term is a single-threshold step, so each job
     carries a threshold-sorted list of (threshold, amount) charges and
     evaluation is the base cost minus the charges with threshold at or
@@ -74,8 +72,8 @@ class ResidualCosts:
     infeasible.
     """
 
-    def __init__(self, inst: Instance, cost_funcs: Sequence[CostFunction] | None = None):
-        self.base = [job.cost for job in inst.jobs] if cost_funcs is None else list(cost_funcs)
+    def __init__(self, inst: Instance):
+        self.base = [job.cost for job in inst.jobs]
         self.horizon = inst.horizon
         self.charges: list[list[tuple[int, Fraction]]] = [[] for _ in inst.jobs]
 
@@ -114,12 +112,12 @@ class ResidualCosts:
             out.append((f - paid, right))
         return out
 
-    def apply(self, dec: "Decomposition") -> None:
-        if dec.alpha == 0:
+    def apply(self, frame: "Frame") -> None:
+        if frame.alpha == 0:
             return
-        for job, weight in dec.weights:
+        for job, weight in frame.weights:
             if weight:
-                insort(self.charges[job], (dec.t_star, dec.alpha * weight))
+                insort(self.charges[job], (frame.t_star, frame.alpha * weight))
 
     def assert_nonnegative(self, jobs: tuple[int, ...]) -> None:
         for job in jobs:
@@ -128,10 +126,12 @@ class ResidualCosts:
 
 
 @dataclass(frozen=True)
-class Decomposition:
-    """One cost split: peak interval [r_star, t_star), residual demand
-    there, the largest scale keeping the remainder nonnegative, and the
-    pair that went tight."""
+class Frame:
+    """One raise of the engine: the peak interval [r_star, t_star), its
+    residual demand, the largest scale keeping the remainder
+    nonnegative, the active jobs' weights, the pair that went tight, the
+    raised job's due date before the raise, and every due date at the
+    moment of the split."""
 
     t_star: int
     demand: int
@@ -140,25 +140,23 @@ class Decomposition:
     job: int
     time: int
     r_star: int
+    old_due: int
+    due_snapshot: tuple[int, ...]
 
 
-def decompose(g: ResidualCosts, due: list[int], inst: Instance) -> Decomposition:
-    """Split the residual costs at the interval of maximum residual demand;
-    `r_star` is 0 without release dates."""
+def decompose(g: ResidualCosts, due: list[int], inst: Instance) -> Frame | None:
+    """Split the residual costs at the interval [r_star, t_star) of maximum
+    residual demand (r_star is 0 without release dates), or None when no
+    interval carries demand.
+
+    Active jobs are released inside the interval and due before t_star;
+    their model coefficient is their size truncated to the interval's
+    demand.  The scale is the smallest residual-cost-to-coefficient
+    ratio over active jobs and times at or past t_star; the minimizing
+    pair (largest time, then smallest job) is the one that goes tight."""
     d0, t_star, r_star = peak_demand(due, inst)
     if d0 == 0:
-        raise ValueError("decompose requires an infeasible assignment")
-    return _split(g, due, inst, d0, t_star, r_star)
-
-
-def _split(
-    g: ResidualCosts, due: list[int], inst: Instance, d0: int, t_star: int, r_star: int
-) -> Decomposition:
-    """Active jobs are released inside [r_star, t_star) and due before
-    t_star; their model coefficient is their size truncated to the
-    interval's demand.  The scale is the smallest residual-cost-to-
-    coefficient ratio over active jobs and times at or past t_star;
-    the minimizing pair (largest time, then smallest job) is returned."""
+        return None
     weights = tuple(
         (j, min(job.p, d0))
         for j, job in enumerate(inst.jobs)
@@ -180,17 +178,7 @@ def _split(
             f"interval [{r_star}, {t_star})"
         )
     alpha, job, time = best
-    return Decomposition(t_star, d0, alpha, weights, job, time, r_star)
-
-
-@dataclass(frozen=True)
-class Frame:
-    """One raise of the engine: its split, the raised job's due date
-    before the raise, and every due date at the moment of the split."""
-
-    dec: Decomposition
-    old_due: int
-    due_snapshot: tuple[int, ...]
+    return Frame(t_star, d0, alpha, weights, job, time, r_star, due[job], tuple(due))
 
 
 def raise_due_dates(
@@ -208,23 +196,20 @@ def raise_due_dates(
     closure = {inst.horizon, *inst.release_dates}
     closure.update(b - 1 for f in g.base for b in f.times)
     max_depth = n * len(closure)
-    while True:
-        d0, t_star, r_star = peak_demand(due, inst)
-        if d0 == 0:
-            return frames, due
+    while (frame := decompose(g, due, inst)) is not None:
         if debug:
             for j in range(n):
                 assert g.value(j, due[j]) == 0
                 assert due[j] >= inst.jobs[j].release
-        dec = _split(g, due, inst, d0, t_star, r_star)
-        frames.append(Frame(dec, due[dec.job], tuple(due)))
-        g.apply(dec)
+        frames.append(frame)
+        g.apply(frame)
         if debug:
-            g.assert_nonnegative(tuple(j for j, _ in dec.weights))
-            assert g.value(dec.job, dec.time) == 0
-        assert dec.time > due[dec.job]
-        due[dec.job] = dec.time
+            g.assert_nonnegative(tuple(j for j, _ in frame.weights))
+            assert g.value(frame.job, frame.time) == 0
+        assert frame.time > frame.old_due
+        due[frame.job] = frame.time
         assert len(frames) <= max_depth, "due dates must stay in the closure S"
+    return frames, due
 
 
 def reverse_delete(due: list[int], frames: Sequence[Frame], inst: Instance) -> list[bool]:
@@ -240,7 +225,7 @@ def reverse_delete(due: list[int], frames: Sequence[Frame], inst: Instance) -> l
     kept = [False] * len(frames)
     for i in range(len(frames) - 1, -1, -1):
         frame = frames[i]
-        job, time = frame.dec.job, frame.dec.time
+        job, time = frame.job, frame.time
         # Once a later raise of the job survived, undoing this one cannot
         # be feasible either: demands only grow as due dates fall.
         if due[job] == time:
@@ -273,10 +258,9 @@ class LocalRatioOutcome:
 
 
 def _charging_bound(frame: Frame, due: list[int], factor: int) -> None:
-    dec = frame.dec
-    lhs = sum(w for j, w in dec.weights if dec.t_star <= due[j])
-    assert lhs <= factor * dec.demand, (
-        f"charging bound violated at t*={dec.t_star}: {lhs} > {factor} * {dec.demand}"
+    lhs = sum(w for j, w in frame.weights if frame.t_star <= due[j])
+    assert lhs <= factor * frame.demand, (
+        f"charging bound violated at t*={frame.t_star}: {lhs} > {factor} * {frame.demand}"
     )
     assert all(old <= d for old, d in zip(frame.due_snapshot, due))
 
@@ -324,8 +308,8 @@ def _solve(inst: Instance, *, debug: bool, release: bool) -> LocalRatioOutcome:
     kept = reverse_delete(rho, frames, inst)
     trace = tuple(
         LocalRatioRecord(
-            depth + 1, f.dec.t_star, f.dec.alpha, f.dec.job, f.dec.time,
-            kept[depth], f.dec.r_star if release else None,
+            depth + 1, f.t_star, f.alpha, f.job, f.time,
+            kept[depth], f.r_star if release else None,
         )
         for depth, f in enumerate(frames)
     )

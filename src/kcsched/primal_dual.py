@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .edd import Schedule, _require_assigned, peak_demand
@@ -103,7 +103,7 @@ class GrowState:
     Committed pairs are nested per job (a pair at time t puts the job in
     every covered set up to t), so membership reduces to one frontier
     per job: the largest committed time.  Each engine frame commits the
-    pair (frame.dec.job, frame.dec.time) over the frontier frame.old_due.
+    pair (frame.job, frame.time) over the frontier frame.old_due.
     `times` is the grid on which the records and `prune` report times.
     """
 
@@ -137,17 +137,22 @@ def grow(
     constraint with a finite right-hand side becomes tight, and commits
     the tight (job, time) pair with the largest time, then smallest id.
     Terminates when every residual demand is zero.  `debug` turns on the
-    engine's ledger assertions and checks the dual of every iteration.
+    engine's ledger assertions and checks the final dual, which bounds
+    every prefix; the prefixes are scanned only to name a failure.
 
-    The engine runs on `cost_funcs` (the jobs' own costs by default).
     A sorted grid `times` that starts at 1 and holds every breakpoint of
-    those costs keeps them constant on its intervals, so every peak time
+    the costs keeps them constant on its intervals, so every peak time
     is a grid point and every raise lands on an interval's right end;
     the records and `prune` report each time as its interval's left end.
+    `cost_funcs` runs the engine on the jobs of `inst` with those costs
+    instead of their own.
     """
+    if cost_funcs is not None:
+        jobs = zip(inst.jobs, cost_funcs, strict=True)
+        inst = Instance(tuple(replace(j, cost=f) for j, f in jobs))
     if inst.has_releases:
         raise ValueError("grow requires an instance without release dates")
-    g = ResidualCosts(inst, cost_funcs)
+    g = ResidualCosts(inst)
     times = range(1, inst.horizon + 1) if times is None else tuple(times)
     if 1 not in times[:1] or any(snap_left(times, b) != b for f in g.base for b in f.times):
         raise ValueError("grow needs a grid that starts at 1 and holds every cost breakpoint")
@@ -155,14 +160,13 @@ def grow(
     entries: list[DualEntry] = []
     records: list[GrowRecord] = []
     for f in frames:
-        d = f.dec
         covered = JobSet.from_ids(
-            (j for j, due in enumerate(f.due_snapshot) if due >= d.t_star), inst
+            (j for j, due in enumerate(f.due_snapshot) if due >= f.t_star), inst
         )
-        entries.append(DualEntry(d.t_star, covered, d.alpha))
-        tight = snap_left(times, d.time)
+        entries.append(DualEntry(f.t_star, covered, f.alpha))
+        tight = snap_left(times, f.time)
         records.append(
-            GrowRecord(len(records) + 1, d.t_star, covered, d.demand, d.alpha, d.job, tight)
+            GrowRecord(len(records) + 1, f.t_star, covered, f.demand, f.alpha, f.job, tight)
         )
     if debug:
         # With every alpha >= 0, each left side only grows with the
@@ -173,7 +177,7 @@ def grow(
 
         def prefix_report(k: int) -> DualFeasibilityReport:
             dual = DualSolution.from_entries(entries[:k], inst)
-            return check_dual_feasible(dual, inst, cost_funcs=g.base)
+            return check_dual_feasible(dual, inst)
 
         if not prefix_report(len(entries)).feasible:
             for k in range(1, len(entries) + 1):
@@ -232,25 +236,18 @@ class DualFeasibilityReport:
     violation: tuple[int, int, Fraction, Cost] | None = None  # (job, s, lhs, rhs)
 
 
-def check_dual_feasible(
-    dual: DualSolution,
-    inst: Instance,
-    *,
-    cost_funcs: list[CostFunction] | None = None,
-) -> DualFeasibilityReport:
+def check_dual_feasible(dual: DualSolution, inst: Instance) -> DualFeasibilityReport:
     """Verify every dual constraint with exact rationals.
 
     For each job j and time s in 1..T, the weighted sum of raised duals
     whose time is at most s and whose set excludes j must stay at or
-    below the job's cost at s (the jobs' own costs unless `cost_funcs`
-    replaces them); infeasible right-hand sides are vacuous.  Reports
-    the first violation in (job, s) scan order.
+    below the job's cost at s; infeasible right-hand sides are vacuous.
+    Reports the first violation in (job, s) scan order.
 
     The left side only changes at a dual entry time, and the cost is
     nonnegative and never falls.  So a violation at s also holds at the
     last entry time at or before s, and only entry times are visited.
     """
-    costs = [j.cost for j in inst.jobs] if cost_funcs is None else list(cost_funcs)
     for j in range(inst.n):
         events = sorted(
             (e.t, e.y * min(inst.jobs[j].p, residual_demand(e.t, e.covered, inst)))
@@ -263,7 +260,7 @@ def check_dual_feasible(
             while idx < len(events) and events[idx][0] <= s:
                 lhs += events[idx][1]
                 idx += 1
-            rhs = costs[j].value_at(s)
+            rhs = inst.jobs[j].cost.value_at(s)
             if rhs is INFEASIBLE:
                 continue
             if lhs > rhs:

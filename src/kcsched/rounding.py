@@ -1,6 +1,6 @@
 """Interval-indexed reduction: cost classes anchored at their first
-value, costs rounded up to be constant on the partition intervals, and
-the primal-dual solve on those rounded costs.
+value, an instance whose costs are rounded up to be constant on the
+partition intervals, and the primal-dual solve on that instance.
 
 Per job, times are grouped into classes where the cost stays within a
 factor 1 + epsilon of the class's first value, its anchor (class 0
@@ -15,14 +15,14 @@ is cheap at any epsilon.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .edd import Schedule
 from .errors import InstanceError
 from .instance import INFEASIBLE, Cost, CostFunction, Instance
 from .local_ratio import finish
-from .primal_dual import DualSolution, GrowTrace, certified_ratio, grow, prune, snap_left
+from .primal_dual import DualSolution, GrowTrace, certified_ratio, grow, prune
 
 __all__ = [
     "IntervalPartition",
@@ -30,7 +30,6 @@ __all__ = [
     "RoundedOutcome",
     "build_partition",
     "solve_rounded",
-    "partition_to_json",
 ]
 
 
@@ -57,12 +56,6 @@ class IntervalPartition:
         if idx + 1 < len(self.points):
             return self.points[idx + 1] - 1
         return self.horizon
-
-    def snap_left(self, t: int) -> int:
-        """Left endpoint of the interval containing t."""
-        if not 1 <= t <= self.horizon:
-            raise InstanceError(f"time {t} out of range [1, {self.horizon}]")
-        return snap_left(self.points, t)
 
 
 def build_partition(inst: Instance, epsilon: Fraction | int | str) -> IntervalPartition:
@@ -111,16 +104,16 @@ def build_partition(inst: Instance, epsilon: Fraction | int | str) -> IntervalPa
 
 @dataclass(frozen=True)
 class RoundedInstance:
-    """Base instance plus rounded costs: on each partition interval the
-    cost is the base cost at the interval's right end, so f <= f' <=
-    (1+eps) f holds pointwise."""
+    """Base instance plus `instance`, the same jobs with rounded costs: on
+    each partition interval the cost is the base cost at the interval's
+    right end, so f <= f' <= (1+eps) f holds pointwise."""
 
     base: Instance
     partition: IntervalPartition
-    cost_funcs: tuple[CostFunction, ...] = field(init=False)
+    instance: Instance = field(init=False)
 
     def __post_init__(self) -> None:
-        funcs = []
+        jobs = []
         for job in self.base.jobs:
             pairs: list[tuple[int, Cost]] = []
             prev: Cost = 0
@@ -129,13 +122,16 @@ class RoundedInstance:
                 if v != prev:
                     pairs.append((left, v))
                     prev = v
-            funcs.append(CostFunction(tuple(pairs)))
-        object.__setattr__(self, "cost_funcs", tuple(funcs))
+            jobs.append(replace(job, cost=CostFunction(tuple(pairs))))
+        object.__setattr__(self, "instance", Instance(tuple(jobs)))
+
+    @property
+    def cost_funcs(self) -> tuple[CostFunction, ...]:
+        return tuple(job.cost for job in self.instance.jobs)
 
 
 @dataclass(frozen=True)
 class RoundedOutcome:
-    epsilon: Fraction
     partition: IntervalPartition
     rounded: RoundedInstance
     compressed_due_dates: tuple[int, ...]
@@ -152,7 +148,7 @@ class RoundedOutcome:
 def solve_rounded(
     inst: Instance, epsilon: Fraction | int | str, *, debug: bool = False
 ) -> RoundedOutcome:
-    """Primal-dual solve on the rounded costs, the paper's reduction.
+    """Primal-dual solve on the rounded instance, the paper's reduction.
 
     The engine's due dates are interval right ends, where the base cost
     equals the rounded cost paid; the trace and `compressed_due_dates`
@@ -161,18 +157,15 @@ def solve_rounded(
     """
     partition = build_partition(inst, epsilon)
     rounded = RoundedInstance(inst, partition)
-    state, dual, trace = grow(
-        inst, times=partition.points, cost_funcs=list(rounded.cost_funcs), debug=debug
-    )
-    compressed = prune(state, inst)
+    state, dual, trace = grow(rounded.instance, times=partition.points, debug=debug)
+    compressed = prune(state, rounded.instance)
     due = tuple(partition.right_end(t) for t in compressed)
-    for j, job in enumerate(inst.jobs):
-        assert rounded.cost_funcs[j].value_at(compressed[j]) == job.cost.value_at(due[j])
+    for j, job in enumerate(rounded.instance.jobs):
+        assert job.cost.value_at(compressed[j]) == inst.jobs[j].cost.value_at(due[j])
     assignment_cost, schedule = finish(due, inst)
     primal = schedule.total_cost
     ratio = certified_ratio(primal, assignment_cost, dual.value)
     return RoundedOutcome(
-        partition.epsilon,
         partition,
         rounded,
         compressed,
@@ -185,19 +178,3 @@ def solve_rounded(
         trace,
         dual,
     )
-
-
-def partition_to_json(rounded: RoundedInstance) -> dict:
-    """Interval list plus the per-job rounded cost table on the partition."""
-    table = []
-    for j, func in enumerate(rounded.cost_funcs):
-        row = []
-        for left in rounded.partition.points:
-            v = func.value_at(left)
-            row.append("INF" if v is INFEASIBLE else v)
-        table.append(row)
-    return {
-        "epsilon": f"{rounded.partition.epsilon.numerator}/{rounded.partition.epsilon.denominator}",
-        "intervals": [[left, right] for left, right in rounded.partition.intervals()],
-        "modified_costs": table,
-    }

@@ -162,7 +162,7 @@ def test_criterion_5_dual_and_primal_feasibility(suite_results):
                     partial = DualSolution.from_entries(pd.dual.entries[: i + 1], inst)
                     assert check_dual_feasible(partial, inst).feasible
             if idx < 20:
-                solve_primal_dual(inst, debug=True)  # ledger and dual of every iteration
+                solve_primal_dual(inst, debug=True)  # ledger of every raise and the final dual
             assert check_primal_feasible(pd.due_dates, inst, dual=pd.dual).feasible
             assert len(pd.due_dates) == inst.n
             assert all(d >= 1 for d in pd.due_dates)

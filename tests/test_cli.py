@@ -276,6 +276,23 @@ def test_tiny_epsilon_is_cheap(tmp_path, command):
     assert proc.returncode == 0, proc.stderr
 
 
+def assert_exit_ok_or_infeasible(inst, algo_args):
+    """`solve --check --stable --trace` and `verify`, for each algorithm
+    that applies to the instance, exit only 0 or 3."""
+    algos = ["release"] if inst.has_releases else sorted(algo_args)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "inst.json")
+        Path(path).write_text(serialize_instance(inst))
+        trace = str(Path(tmp) / "trace.jsonl")
+        for algo in algos:
+            solve = ["solve", path, "--check", "--stable", "--trace", trace]
+            for argv in (solve, ["verify", path]):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                    code = main([*argv, *algo_args[algo]])
+                assert code in (0, 3), (algo, argv[0], out.getvalue())
+
+
 # A check that walked 1..T would not return here at all; the subprocess
 # test above bounds the time.
 @settings(max_examples=40, deadline=None)
@@ -287,13 +304,18 @@ def test_tiny_epsilon_is_cheap(tmp_path, command):
     ),
 )
 def test_huge_processing_times_exit_ok_or_infeasible(inst):
-    algos = ["release"] if inst.has_releases else sorted(ALGO_ARGS)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "inst.json"
-        path.write_text(serialize_instance(inst))
-        for algo in algos:
-            for argv in (["solve", str(path), "--check"], ["verify", str(path)]):
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-                    code = main([*argv, *ALGO_ARGS[algo]])
-                assert code in (0, 3), (algo, out.getvalue())
+    assert_exit_ok_or_infeasible(inst, ALGO_ARGS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.booleans().flatmap(
+        lambda rel: instances(
+            max_n=6, max_p=6, max_value=1000, releases=rel, allow_infeasible=True
+        )
+    ),
+    st.sampled_from(["1", "1/2", "1/10", "1/1000"]),
+)
+def test_random_instances_exit_ok_or_infeasible(inst, eps):
+    rounded = ["--algo", "rounded", "--epsilon", eps]
+    assert_exit_ok_or_infeasible(inst, {**ALGO_ARGS, "rounded": rounded})

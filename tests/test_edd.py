@@ -13,7 +13,6 @@ from kcsched.edd import (
     edd_schedule,
     feasible_assignment,
     preemptive_edd,
-    schedule_to_json,
 )
 from kcsched.errors import InfeasibleAssignmentError
 from kcsched.generators import RandomSpec, gen_random
@@ -171,14 +170,6 @@ def test_preemptive_miss_reported():
     inst = Instance((Job(0, 2, CostFunction(()), 2),))
     out = preemptive_edd((3,), inst)
     assert out == EddMiss(job=0, due=3)
-
-
-def test_schedule_json_shape(tight4):
-    sched = edd_schedule((11, 11, 16, 16), tight4)
-    doc = schedule_to_json(sched)
-    assert doc["cost"] == 16
-    assert doc["segments"][0] == [0, 0, 4]
-    assert doc["completions"] == [4, 8, 12, 16]
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcsched.errors import InstanceError
 from kcsched.instance import (
@@ -157,3 +160,49 @@ def test_residual_monotone_in_set(inst):
                 small = JobSet.from_ids(sub, inst)
                 grown = JobSet.from_ids(set(sub) | {0}, inst)
                 assert residual_demand(t, grown, inst) <= residual_demand(t, small, inst)
+
+
+# "HUGE" stands for an integer past Python's default limit of 4300 digits
+# for int-string conversion, which json.dumps itself cannot write.
+HUGE_DIGITS = "9" * 5000
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=3),
+    st.sampled_from(["INF", "HUGE"]),
+    st.integers(-2, 40),
+    st.integers(-(10**40), 10**40),
+)
+json_docs = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["jobs", "p", "release", "cost"]) | st.text(max_size=2),
+                      inner, max_size=4),
+    max_leaves=24,
+)
+job_docs = st.fixed_dictionaries(
+    {
+        "p": json_scalars,
+        "cost": st.lists(st.lists(json_scalars, max_size=3) | json_docs, max_size=4),
+    },
+    optional={"release": json_scalars},
+)
+instance_docs = st.fixed_dictionaries({"jobs": st.lists(job_docs | json_docs, max_size=4)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_docs | instance_docs)
+def test_parse_any_json_gives_instance_or_instance_error(doc):
+    text = json.dumps(doc).replace('"HUGE"', HUGE_DIGITS)
+    try:
+        inst = parse_instance(text)
+    except InstanceError:
+        return
+    assert isinstance(inst, Instance)
+
+
+def test_parse_integer_past_digit_limit_is_instance_error():
+    with pytest.raises(InstanceError, match="malformed JSON"):
+        parse_instance('{"jobs": [{"p": %s}]}' % HUGE_DIGITS)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcsched.edd import feasible_assignment, peak_demand
+from kcsched.edd import feasible_assignment
 from kcsched.errors import InfeasibleInstanceError
 from kcsched.generators import RandomSpec, gen_random
 from kcsched.instance import INFEASIBLE, CostFunction, Instance, Job
@@ -66,8 +66,7 @@ def test_zero_costs_give_zero_alpha():
 
 
 def test_decompose_requires_infeasible(pair_instance):
-    with pytest.raises(ValueError):
-        decompose(ResidualCosts(pair_instance), [3, 2], pair_instance)
+    assert decompose(ResidualCosts(pair_instance), [3, 2], pair_instance) is None
 
 
 def test_decompose_infeasible_instance():
@@ -82,8 +81,7 @@ def test_alpha_matches_brute_force_along_runs():
         g = ResidualCosts(inst)
         due = [0] * inst.n
         steps = 0
-        while peak_demand(due, inst)[0]:
-            dec = decompose(g, due, inst)
+        while (dec := decompose(g, due, inst)) is not None:
             expected = brute_force_alpha(g, due, inst, dec.t_star, dec.weights)
             assert dec.alpha == expected, (seed, steps)
             g.apply(dec)
@@ -175,10 +173,10 @@ def test_debug_adds_ledger_assertions_and_the_audit_always_runs(monkeypatch, alg
     assert len(audits) == len(out.trace)  # one per undo decision
 
 
-def closure(inst, costs) -> set[int]:
+def closure(inst) -> set[int]:
     """S of the engine's docstring: T, the release dates, and b - 1 for
-    every breakpoint time b of the costs the engine runs on."""
-    return {inst.horizon, *inst.release_dates, *(b - 1 for f in costs for b in f.times)}
+    every breakpoint time b of the instance's costs."""
+    return {inst.horizon, *inst.release_dates, *(b - 1 for j in inst.jobs for b in j.cost.times)}
 
 
 @settings(max_examples=120, deadline=None)
@@ -189,17 +187,17 @@ def closure(inst, costs) -> set[int]:
     st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 10), Fraction(1, 1000)]),
 )
 def test_every_raise_stays_in_the_breakpoint_closure(inst, eps):
-    runs = [(lambda: raise_due_dates(ResidualCosts(inst), inst)[0], [j.cost for j in inst.jobs])]
+    runs = [(lambda: raise_due_dates(ResidualCosts(inst), inst)[0], inst)]
     if not inst.has_releases:
         part = build_partition(inst, eps)
-        rounded = list(RoundedInstance(inst, part).cost_funcs)
-        runs.append((lambda: grow(inst)[0].frames, [j.cost for j in inst.jobs]))
-        runs.append((lambda: grow(inst, times=part.points, cost_funcs=rounded)[0].frames, rounded))
-    for run, costs in runs:
+        rounded = RoundedInstance(inst, part).instance
+        runs.append((lambda: grow(inst)[0].frames, inst))
+        runs.append((lambda: grow(rounded, times=part.points)[0].frames, rounded))
+    for run, engine_inst in runs:
         try:
             frames = run()
         except InfeasibleInstanceError:
             return
-        s = closure(inst, costs)
-        assert all(f.dec.time in s and f.old_due in s for f in frames)
+        s = closure(engine_inst)
+        assert all(f.time in s and f.old_due in s for f in frames)
         assert len(frames) <= inst.n * len(s)

@@ -35,7 +35,7 @@ from conftest import instances
 
 def committed_pairs(state):
     """(job, time, previous frontier) of every committed pair, in order."""
-    return [(f.dec.job, f.dec.time, f.old_due) for f in state.frames]
+    return [(f.job, f.time, f.old_due) for f in state.frames]
 
 
 def expected_tight_trace(p):
@@ -239,7 +239,7 @@ def test_check_dual_empty(tight4):
 def test_check_dual_flags_perturbed_constraint():
     inst = Instance((Job(0, 1, CostFunction(((1, 2),))),))
     bogus = DualSolution.from_entries(
-        [DualEntry(1, JobSet.empty(), Fraction(3))], inst
+        [DualEntry(1, JobSet(0, 0), Fraction(3))], inst
     )
     report = check_dual_feasible(bogus, inst)
     assert not report.feasible
@@ -300,9 +300,8 @@ def test_check_primal_base_coverage_decides_every_truncated_inequality():
     assert len(verdicts) == 2805 and 0 < sum(verdicts) < len(verdicts)
 
 
-def dense_dual_report(dual, inst, cost_funcs=None):
+def dense_dual_report(dual, inst):
     """Dense oracle for `check_dual_feasible`: every time 1..T of every job."""
-    costs = [j.cost for j in inst.jobs] if cost_funcs is None else list(cost_funcs)
     for j in range(inst.n):
         events = sorted(
             (e.t, e.y * min(inst.jobs[j].p, residual_demand(e.t, e.covered, inst)))
@@ -315,7 +314,7 @@ def dense_dual_report(dual, inst, cost_funcs=None):
             while idx < len(events) and events[idx][0] <= s:
                 lhs += events[idx][1]
                 idx += 1
-            rhs = costs[j].value_at(s)
+            rhs = inst.jobs[j].cost.value_at(s)
             if rhs is not INFEASIBLE and lhs > rhs:
                 return DualFeasibilityReport(False, (j, s, lhs, rhs))
     return DualFeasibilityReport(True)
@@ -363,10 +362,10 @@ def test_sparse_dual_check_equals_dense_scan():
         duals = [out.dual] + [tampered(out.dual, inst, rng) for _ in range(4)]
         for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 10)):
             r = solve_rounded(inst, eps)
-            rounded = {"cost_funcs": list(r.rounded.cost_funcs)}
+            rounded = r.rounded.instance
             for dual in [r.dual] + [tampered(r.dual, inst, rng) for _ in range(4)]:
-                report = check_dual_feasible(dual, inst, **rounded)
-                assert report == dense_dual_report(dual, inst, **rounded), (seed, eps)
+                report = check_dual_feasible(dual, rounded)
+                assert report == dense_dual_report(dual, rounded), (seed, eps)
                 verdicts.append(report.feasible)
                 duals.append(dual)
         for dual in duals:
@@ -422,7 +421,7 @@ def test_check_charging_strict(tight4):
     # a raised dual at the last slot charged by all four jobs hits 4x exactly,
     # which the strict bound rejects
     bogus = DualSolution.from_entries(
-        [DualEntry(16, JobSet.empty(), Fraction(1))], tight4
+        [DualEntry(16, JobSet(0, 0), Fraction(1))], tight4
     )
     report = check_charging(bogus, (16, 16, 16, 16), tight4)
     assert not report.ok

@@ -7,7 +7,6 @@ import pytest
 from kcsched.edd import (
     Schedule,
     feasible_assignment,
-    interval_residual_demand,
     peak_demand,
     preemptive_edd,
 )
@@ -47,7 +46,7 @@ def full_scan_peak(due, inst):
     best = (0, -1, -1)
     for r in inst.release_dates:
         for t in range(r + 1, inst.horizon + 1):
-            d = interval_residual_demand(r, t, due, inst)
+            d = brute_interval_demand(r, t, due, inst)
             if d > 0 and (d, t, r) > best:
                 best = (d, t, r)
     return best
@@ -55,24 +54,12 @@ def full_scan_peak(due, inst):
 
 def test_residual_rt_single_job():
     inst = Instance((Job(0, 2, CostFunction(())),))
-    assert interval_residual_demand(0, 2, (0,), inst) == 1
+    assert brute_interval_demand(0, 2, (0,), inst) == 1
 
 
 def test_residual_rt_empty_set():
     inst = Instance((Job(0, 2, CostFunction(())), Job(1, 1, CostFunction(()))))
-    assert interval_residual_demand(0, 2, (3, 3), inst) == 0
-
-
-def test_residual_rt_matches_bruteforce():
-    rng = random.Random(7)
-    for inst in release_suite(60):
-        for _ in range(20):
-            due = tuple(rng.randint(0, inst.horizon) for _ in range(inst.n))
-            r = rng.choice(inst.release_dates)
-            t = rng.randint(r + 1, inst.horizon)
-            assert interval_residual_demand(r, t, due, inst) == brute_interval_demand(
-                r, t, due, inst
-            )
+    assert brute_interval_demand(0, 2, (3, 3), inst) == 0
 
 
 def test_argmax_restricted_equals_full_scan():

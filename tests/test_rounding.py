@@ -11,13 +11,8 @@ from kcsched.errors import InstanceError
 from kcsched.generators import RandomSpec, gen_random, gen_tight
 from kcsched.instance import INFEASIBLE, CostFunction, Instance, Job
 from kcsched.oracle import exact_opt
-from kcsched.primal_dual import check_primal_feasible, solve_primal_dual
-from kcsched.rounding import (
-    RoundedInstance,
-    build_partition,
-    partition_to_json,
-    solve_rounded,
-)
+from kcsched.primal_dual import check_primal_feasible, grow, prune, snap_left, solve_primal_dual
+from kcsched.rounding import RoundedInstance, build_partition, solve_rounded
 
 from conftest import instances
 
@@ -197,12 +192,12 @@ def test_zero_costs_rounded():
 
 
 def test_snap_left(tight4):
-    part = build_partition(tight4, Fraction(1, 2))
-    assert part.snap_left(1) == 1
-    assert part.snap_left(3) == 1
-    assert part.snap_left(4) == 4
-    assert part.snap_left(10) == 4
-    assert part.snap_left(16) == 12
+    points = build_partition(tight4, Fraction(1, 2)).points
+    assert snap_left(points, 1) == 1
+    assert snap_left(points, 3) == 1
+    assert snap_left(points, 4) == 4
+    assert snap_left(points, 10) == 4
+    assert snap_left(points, 16) == 12
 
 
 def test_right_end_of_each_left_endpoint(tight4):
@@ -228,7 +223,7 @@ def test_forward_snap_of_optimum_is_grid_feasible():
             completions[j] = clock
         for eps in (Fraction(1, 10), Fraction(1)):
             rd = RoundedInstance(inst, build_partition(inst, eps))
-            snapped = [rd.partition.snap_left(completions[j]) for j in range(inst.n)]
+            snapped = [snap_left(rd.partition.points, completions[j]) for j in range(inst.n)]
             for t in rd.partition.points:
                 cover = sum(
                     inst.jobs[j].p for j in range(inst.n) if snapped[j] >= t
@@ -268,14 +263,6 @@ def test_rounded_within_bound_of_oracle():
                 assert out.assignment_cost < 4 * out.dual_value
 
 
-def test_partition_json_export(tight4):
-    rd = RoundedInstance(tight4, build_partition(tight4, Fraction(1, 2)))
-    doc = partition_to_json(rd)
-    assert doc["intervals"] == [[1, 3], [4, 10], [11, 11], [12, 16]]
-    assert doc["modified_costs"][0] == [0, 4, 4, "INF"]
-    assert doc["epsilon"] == "1/2"
-
-
 def test_rounded_solve_is_primal_dual_on_the_rounded_costs():
     # the paper's reduction: round each cost up to be constant on the
     # partition intervals, then run the same primal-dual on those costs
@@ -286,12 +273,29 @@ def test_rounded_solve_is_primal_dual_on_the_rounded_costs():
     for inst in suite:
         for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 10), Fraction(1, 1000)):
             out = solve_rounded(inst, eps)
-            jobs = tuple(
-                Job(j.id, j.p, f) for j, f in zip(inst.jobs, out.rounded.cost_funcs)
-            )
-            pd = solve_primal_dual(Instance(jobs))
+            pd = solve_primal_dual(out.rounded.instance)
             assert out.due_dates == pd.due_dates
             assert out.dual == pd.dual and out.dual_value == pd.dual_value
             points = set(out.partition.points)
             assert {r.tight_time for r in out.trace} <= points
             assert set(out.compressed_due_dates) <= points
+
+
+def test_cost_funcs_shims_run_the_rounded_instance():
+    # grow(cost_funcs=) and RoundedInstance.cost_funcs remain for callers
+    # that pass the rounded costs apart from their instance; both must
+    # stay the one path solve_rounded takes
+    suite = [gen_tight(4)] + [
+        gen_random(RandomSpec(seed=seed, n=seed % 7 + 1, p_max=9, v_max=60)) for seed in range(30)
+    ]
+    for inst in suite:
+        for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 10), Fraction(1, 1000)):
+            part = build_partition(inst, eps)
+            rd = RoundedInstance(inst, part)
+            assert rd.cost_funcs == tuple(j.cost for j in rd.instance.jobs)
+            shim = grow(inst, times=part.points, cost_funcs=list(rd.cost_funcs))
+            direct = grow(rd.instance, times=part.points)
+            assert shim == direct
+            assert prune(shim[0], inst) == prune(direct[0], rd.instance)
+    with pytest.raises(ValueError):
+        grow(inst, cost_funcs=list(rd.cost_funcs)[1:])
