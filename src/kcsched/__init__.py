@@ -33,7 +33,7 @@ from .instance import (
     serialize_instance,
 )
 from .local_ratio import (
-    LocalRatioOutcome,
+    Outcome,
     ResidualCosts,
     decompose,
     lr_trace_to_jsonl,
@@ -45,7 +45,6 @@ from .primal_dual import (
     DualEntry,
     DualSolution,
     GrowRecord,
-    SolveOutcome,
     check_charging,
     check_dual_feasible,
     check_primal_feasible,
@@ -57,7 +56,6 @@ from .primal_dual import (
 from .rounding import (
     IntervalPartition,
     RoundedInstance,
-    RoundedOutcome,
     build_partition,
     solve_rounded,
 )

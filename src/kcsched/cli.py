@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .generators import RandomSpec, gen_random, gen_tight, gen_tight_shifted
 from .instance import Instance, parse_instance, serialize_instance
-from .local_ratio import lr_trace_to_jsonl, solve_local_ratio, solve_release
+from .local_ratio import Outcome, lr_trace_to_jsonl, solve_local_ratio, solve_release
 from .oracle import exact_opt, exact_opt_release
 from .primal_dual import (
     check_charging,
@@ -61,30 +62,35 @@ def _load(path: str) -> Instance:
 
 
 def _rational(text: str) -> Fraction:
-    """argparse type for --epsilon and --delta: an unparsable rational is a
-    usage error (exit 2), never a traceback."""
+    """argparse type for --epsilon and --delta: an unparsable rational, or
+    one whose numerator or denominator has more digits than Python will
+    print, is a usage error (exit 2), never a traceback.  An exponent past
+    that digit limit is refused before any power of 10 is built."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits  # 0: no limit
+    exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
     try:
-        return Fraction(text)
+        if exponent and abs(int(exponent[1])) > limit:
+            raise ValueError
+        q = Fraction(text)
+        str(q.numerator), str(q.denominator)  # ValueError past the limit
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+        raise argparse.ArgumentTypeError(
+            f"not a rational number of at most {limit} digits: {text!r}"
+        ) from exc
+    return q
 
 
 def _run_algorithm(
     inst: Instance, algo: str, epsilon: Fraction | None, *, debug: bool = False
-):
-    """Returns (cost, dual value or None, ratio or None, trace text, extras)."""
+) -> Outcome:
     if algo == "rounded":
         if epsilon is None:
             raise InstanceError("--epsilon is required with --algo rounded")
-        out = solve_rounded(inst, epsilon, debug=debug)
-    elif epsilon is not None:
+        return solve_rounded(inst, epsilon, debug=debug)
+    if epsilon is not None:
         raise InstanceError(f"--epsilon applies only to --algo rounded, not {algo}")
-    else:
-        solve = {"pd": solve_primal_dual, "lr": solve_local_ratio, "release": solve_release}
-        out = solve[algo](inst, debug=debug)
-    if algo in ("pd", "rounded"):
-        return out.primal_cost, out.dual_value, out.ratio, trace_to_jsonl(out.trace), out
-    return out.cost, None, None, lr_trace_to_jsonl(out.trace), out
+    solve = {"pd": solve_primal_dual, "lr": solve_local_ratio, "release": solve_release}
+    return solve[algo](inst, debug=debug)
 
 
 def _oracle_cost(inst: Instance) -> int:
@@ -93,12 +99,12 @@ def _oracle_cost(inst: Instance) -> int:
     return exact_opt(inst).opt_cost
 
 
-def _run_checks(inst: Instance, algo: str, outcome) -> dict[str, bool]:
+def _run_checks(inst: Instance, algo: str, outcome: Outcome) -> dict[str, bool]:
     checks: dict[str, bool] = {}
     due = outcome.due_dates
-    if algo in ("pd", "rounded"):
+    if outcome.dual is not None:
         # the rounded dual is feasible for the rounded instance
-        cost_inst = outcome.rounded.instance if algo == "rounded" else inst
+        cost_inst = outcome.rounded.instance if outcome.rounded else inst
         checks["dual_feasible"] = check_dual_feasible(outcome.dual, cost_inst).feasible
         checks["charging"] = check_charging(outcome.dual, due, inst).ok
         checks["primal_feasible"] = check_primal_feasible(
@@ -115,25 +121,24 @@ def _run_checks(inst: Instance, algo: str, outcome) -> dict[str, bool]:
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = _load(args.instance)
     start = time.perf_counter()
-    cost, dual_value, ratio, trace_text, outcome = _run_algorithm(
-        inst, args.algo, args.epsilon
-    )
+    outcome = _run_algorithm(inst, args.algo, args.epsilon)
     wall_ms = 0.0 if args.stable else (time.perf_counter() - start) * 1000.0
     report: dict[str, object] = {
         "algorithm": args.algo,
         "instance": _digest(inst),
-        "cost": cost,
+        "cost": outcome.cost,
         "wall_ms": wall_ms,
     }
-    if dual_value is not None:
-        report["dual"] = _rat(dual_value)
-        report["ratio"] = _rat(ratio)
+    if outcome.dual is not None:
+        report["dual"] = _rat(outcome.dual.value)
+        report["ratio"] = _rat(outcome.ratio)
     if args.epsilon is not None:
         report["epsilon"] = _rat(args.epsilon)
     if args.with_opt:
         report["opt"] = _oracle_cost(inst)
     if args.trace:
-        Path(args.trace).write_text(trace_text)
+        write = lr_trace_to_jsonl if outcome.dual is None else trace_to_jsonl
+        Path(args.trace).write_text(write(outcome.trace))
         report["trace_path"] = args.trace
     failed = False
     if args.check:
@@ -150,15 +155,15 @@ def _compare_one(path: str, with_opt: bool) -> list[dict[str, object]]:
     opt = _oracle_cost(inst) if with_opt else None
     rows = []
     for algo in algos:
-        cost, dual_value, ratio, _, _ = _run_algorithm(inst, algo, None)
+        out = _run_algorithm(inst, algo, None)
         row: dict[str, object] = {
             "instance": path,
             "algo": algo,
-            "cost": cost,
-            "dual": _rat(dual_value),
-            "ratio": _rat(ratio),
+            "cost": out.cost,
+            "dual": _rat(out.dual.value) if out.dual else None,
+            "ratio": _rat(out.ratio),
             "opt": opt,
-            "cost_over_opt": _rat(Fraction(cost, opt)) if opt else None,
+            "cost_over_opt": _rat(Fraction(out.cost, opt)) if opt else None,
         }
         rows.append(row)
     return rows
@@ -218,7 +223,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     inst = _load(args.instance)
-    outcome = _run_algorithm(inst, args.algo, args.epsilon, debug=True)[-1]
+    outcome = _run_algorithm(inst, args.algo, args.epsilon, debug=True)
     checks = _run_checks(inst, args.algo, outcome)
     ok = all(checks.values())
     for name, passed in sorted(checks.items()):

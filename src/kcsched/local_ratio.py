@@ -41,16 +41,21 @@ from bisect import insort
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .edd import Schedule, peak_demand, preemptive_edd
 from .errors import InfeasibleInstanceError
 from .instance import INFEASIBLE, Instance
 
+if TYPE_CHECKING:
+    from .primal_dual import DualSolution
+    from .rounding import RoundedInstance
+
 __all__ = [
     "ResidualCosts",
     "Frame",
     "LocalRatioRecord",
-    "LocalRatioOutcome",
+    "Outcome",
     "decompose",
     "raise_due_dates",
     "reverse_delete",
@@ -248,15 +253,6 @@ class LocalRatioRecord:
     r_star: int | None = None
 
 
-@dataclass(frozen=True)
-class LocalRatioOutcome:
-    due_dates: tuple[int, ...]
-    assignment_cost: int
-    schedule: Schedule
-    cost: int
-    trace: tuple[LocalRatioRecord, ...]
-
-
 def _charging_bound(frame: Frame, due: list[int], factor: int) -> None:
     lhs = sum(w for j, w in frame.weights if frame.t_star <= due[j])
     assert lhs <= factor * frame.demand, (
@@ -265,11 +261,41 @@ def _charging_bound(frame: Frame, due: list[int], factor: int) -> None:
     assert all(old <= d for old, d in zip(frame.due_snapshot, due))
 
 
-def finish(due: Sequence[int], inst: Instance) -> tuple[int, Schedule]:
+@dataclass(frozen=True)
+class Outcome:
+    """What every solver returns: the due dates, what they cost, their
+    EDD witness and the run's trace.  The primal-dual and rounded solves
+    add their dual and the certified ratio cost / dual (None when the
+    dual is 0); the rounded solve adds the rounded instance it ran on."""
+
+    due_dates: tuple[int, ...]
+    assignment_cost: int
+    schedule: Schedule
+    trace: tuple
+    dual: DualSolution | None = None
+    ratio: Fraction | None = None
+    rounded: RoundedInstance | None = None
+
+    @property
+    def cost(self) -> int:
+        return self.schedule.total_cost
+
+    primal_cost = cost  # read by the benchmark replay
+
+
+def finish(
+    due: Sequence[int],
+    inst: Instance,
+    trace: tuple,
+    dual: DualSolution | None = None,
+    rounded: RoundedInstance | None = None,
+) -> Outcome:
     """The last step of every solver: the cost of the due-date assignment,
     checked to be an integer, and its preemptive EDD witness, which is
     the EDD sequence when nothing is released after 0.  The witness never
-    costs more than the assignment."""
+    costs more than the assignment.  Given a dual, the 4x certificate is
+    asserted: the assignment costs less than four times the dual, or both
+    are 0 (and the ratio is None)."""
     due = tuple(due)
     assignment_cost = 0
     for j, job in enumerate(inst.jobs):
@@ -279,17 +305,21 @@ def finish(due: Sequence[int], inst: Instance) -> tuple[int, Schedule]:
     schedule = preemptive_edd(due, inst)
     assert isinstance(schedule, Schedule), "feasible due dates must yield an EDD schedule"
     assert isinstance(schedule.total_cost, int) and schedule.total_cost <= assignment_cost
-    return assignment_cost, schedule
+    ratio = None
+    if dual is not None:
+        assert assignment_cost < 4 * dual.value or assignment_cost == dual.value == 0
+        ratio = Fraction(schedule.total_cost) / dual.value if dual.value else None
+    return Outcome(due, assignment_cost, schedule, trace, dual, ratio, rounded)
 
 
-def solve_local_ratio(inst: Instance, *, debug: bool = False) -> LocalRatioOutcome:
+def solve_local_ratio(inst: Instance, *, debug: bool = False) -> Outcome:
     """Local-ratio 4-approximation for instances without release dates."""
     if inst.has_releases:
         raise ValueError("solve_local_ratio requires an instance without release dates")
     return _solve(inst, debug=debug, release=False)
 
 
-def solve_release(inst: Instance, *, debug: bool = False) -> LocalRatioOutcome:
+def solve_release(inst: Instance, *, debug: bool = False) -> Outcome:
     """Local-ratio solve with release dates; cost within 4 kappa of optimum.
 
     Starts from the release-date vector itself (instance validation
@@ -300,7 +330,7 @@ def solve_release(inst: Instance, *, debug: bool = False) -> LocalRatioOutcome:
     return _solve(inst, debug=debug, release=True)
 
 
-def _solve(inst: Instance, *, debug: bool, release: bool) -> LocalRatioOutcome:
+def _solve(inst: Instance, *, debug: bool, release: bool) -> Outcome:
     """Engine run on the jobs' costs, reverse delete (which asserts the
     4 kappa charging bound per undo) and `finish`; release runs keep
     r_star in the trace.  `debug` turns on the ledger assertions."""
@@ -313,8 +343,7 @@ def _solve(inst: Instance, *, debug: bool, release: bool) -> LocalRatioOutcome:
         )
         for depth, f in enumerate(frames)
     )
-    assignment_cost, schedule = finish(rho, inst)
-    return LocalRatioOutcome(tuple(rho), assignment_cost, schedule, schedule.total_cost, trace)
+    return finish(rho, inst, trace)
 
 
 def lr_trace_to_jsonl(trace: tuple[LocalRatioRecord, ...]) -> str:

@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .edd import Schedule, _require_assigned, peak_demand
+from .edd import _require_assigned, peak_demand
 from .instance import (
     INFEASIBLE,
     Cost,
@@ -34,13 +34,12 @@ from .instance import (
     JobSet,
     residual_demand,
 )
-from .local_ratio import Frame, ResidualCosts, finish, raise_due_dates, reverse_delete
+from .local_ratio import Frame, Outcome, ResidualCosts, finish, raise_due_dates, reverse_delete
 
 __all__ = [
     "DualEntry",
     "DualSolution",
     "GrowRecord",
-    "SolveOutcome",
     "grow",
     "prune",
     "solve_primal_dual",
@@ -110,17 +109,6 @@ class GrowState:
     frontier: list[int]
     frames: list[Frame]
     times: Sequence[int]
-
-
-@dataclass(frozen=True)
-class SolveOutcome:
-    due_dates: tuple[int, ...]
-    schedule: Schedule
-    primal_cost: int
-    dual_value: Fraction
-    ratio: Fraction | None
-    trace: GrowTrace
-    dual: DualSolution
 
 
 def grow(
@@ -204,25 +192,10 @@ def snap_left(points: Sequence[int], t: int) -> int:
     return points[bisect_right(points, t) - 1]
 
 
-def certified_ratio(cost: int, assignment_cost: int, dual_value: Fraction) -> Fraction | None:
-    """cost / dual after asserting the 4x certificate: the due-date
-    assignment costs less than four times the dual, or both are 0 (and
-    the ratio is None)."""
-    if dual_value == 0:
-        assert assignment_cost == 0
-        return None
-    assert assignment_cost < 4 * dual_value
-    return Fraction(cost) / dual_value
-
-
-def solve_primal_dual(inst: Instance, *, debug: bool = False) -> SolveOutcome:
-    """Run growing, pruning, and EDD; bundle the 4x certificate."""
+def solve_primal_dual(inst: Instance, *, debug: bool = False) -> Outcome:
+    """Run growing, pruning, and EDD; `finish` asserts the 4x certificate."""
     state, dual, trace = grow(inst, debug=debug)
-    due = prune(state, inst)
-    assignment_cost, schedule = finish(due, inst)
-    primal = schedule.total_cost
-    ratio = certified_ratio(primal, assignment_cost, dual.value)
-    return SolveOutcome(due, schedule, primal, dual.value, ratio, trace, dual)
+    return finish(prune(state, inst), inst, trace, dual)
 
 
 # ---------------------------------------------------------------------------

@@ -18,16 +18,14 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .edd import Schedule
 from .errors import InstanceError
 from .instance import INFEASIBLE, Cost, CostFunction, Instance
-from .local_ratio import finish
-from .primal_dual import DualSolution, GrowTrace, certified_ratio, grow, prune
+from .local_ratio import Outcome, finish
+from .primal_dual import grow, prune
 
 __all__ = [
     "IntervalPartition",
     "RoundedInstance",
-    "RoundedOutcome",
     "build_partition",
     "solve_rounded",
 ]
@@ -130,30 +128,15 @@ class RoundedInstance:
         return tuple(job.cost for job in self.instance.jobs)
 
 
-@dataclass(frozen=True)
-class RoundedOutcome:
-    partition: IntervalPartition
-    rounded: RoundedInstance
-    compressed_due_dates: tuple[int, ...]
-    due_dates: tuple[int, ...]
-    schedule: Schedule
-    primal_cost: int
-    assignment_cost: int
-    dual_value: Fraction
-    ratio: Fraction | None
-    trace: GrowTrace
-    dual: DualSolution
-
-
 def solve_rounded(
     inst: Instance, epsilon: Fraction | int | str, *, debug: bool = False
-) -> RoundedOutcome:
+) -> Outcome:
     """Primal-dual solve on the rounded instance, the paper's reduction.
 
     The engine's due dates are interval right ends, where the base cost
-    equals the rounded cost paid; the trace and `compressed_due_dates`
-    give interval left ends.  The schedule costs at most four times the
-    rounded dual, itself within 1 + epsilon of certifying the optimum.
+    equals the rounded cost paid; the trace gives interval left ends.
+    The schedule costs at most four times the rounded dual, itself
+    within 1 + epsilon of certifying the optimum.
     """
     partition = build_partition(inst, epsilon)
     rounded = RoundedInstance(inst, partition)
@@ -162,19 +145,4 @@ def solve_rounded(
     due = tuple(partition.right_end(t) for t in compressed)
     for j, job in enumerate(rounded.instance.jobs):
         assert job.cost.value_at(compressed[j]) == inst.jobs[j].cost.value_at(due[j])
-    assignment_cost, schedule = finish(due, inst)
-    primal = schedule.total_cost
-    ratio = certified_ratio(primal, assignment_cost, dual.value)
-    return RoundedOutcome(
-        partition,
-        rounded,
-        compressed,
-        due,
-        schedule,
-        primal,
-        assignment_cost,
-        dual.value,
-        ratio,
-        trace,
-        dual,
-    )
+    return finish(due, inst, trace, dual, rounded)

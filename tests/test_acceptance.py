@@ -87,7 +87,7 @@ def test_criterion_1_tight_gap_reproduction():
             out = solve_primal_dual(gen_tight(p))
             elapsed = time.perf_counter() - start
             assert out.primal_cost == 4 * p
-            assert out.dual_value == Fraction(p + 2)
+            assert out.dual.value == Fraction(p + 2)
             assert out.ratio == Fraction(4 * p, p + 2)
             if p == 1000:
                 assert elapsed < 5.0, f"p=1000 took {elapsed:.2f}s"
@@ -117,7 +117,7 @@ def test_criterion_2_golden_trace():
         nonzero = [e for e in out.dual.entries if e.y > 0]
         assert len(nonzero) == 1
         assert (nonzero[0].t, nonzero[0].covered.mask, nonzero[0].y) == (3 * p - 1, 0, 1)
-        assert out.dual_value == p + 2
+        assert out.dual.value == p + 2
 
 
 def test_criterion_3_four_approximation_vs_oracle(suite_results):
@@ -126,10 +126,10 @@ def test_criterion_3_four_approximation_vs_oracle(suite_results):
             suite_results["instances"], suite_results["opts"],
             suite_results["pd"], suite_results["lr"],
         ):
-            assert pd.dual_value <= opt
+            assert pd.dual.value <= opt
             assert opt <= pd.primal_cost
-            assert pd.primal_cost <= 4 * pd.dual_value or pd.dual_value == 0
-            if pd.dual_value == 0:
+            assert pd.primal_cost <= 4 * pd.dual.value or pd.dual.value == 0
+            if pd.dual.value == 0:
                 assert pd.primal_cost == 0
             assert pd.primal_cost <= 4 * opt
             assert lr.assignment_cost <= 4 * opt

@@ -227,6 +227,9 @@ def test_gen_random_deterministic_output(capsys):
         ["verify", "INSTANCE", "--algo", "rounded", "--epsilon", "1/0"],
         ["solve", "INSTANCE", "--algo", "rounded", "--epsilon", "half"],
         ["gen", "tight-shifted", "--p", "4", "--delta", "1/0"],
+        # past the interpreter's digit limit: the report could not print them
+        ["solve", "INSTANCE", "--algo", "rounded", "--epsilon", "1e-5000"],
+        ["gen", "tight-shifted", "--p", "4", "--delta", "1e5000"],
     ],
 )
 def test_unparsable_rational_is_usage_error(capsys, tight_file, argv):
@@ -236,6 +239,27 @@ def test_unparsable_rational_is_usage_error(capsys, tight_file, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error: argument" in err and "not a rational number" in err
+
+
+def test_exponent_is_accepted_without_a_digit_limit(capsys, tight_file):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # what PYTHONINTMAXSTRDIGITS=0 sets
+    try:
+        argv = ["solve", tight_file, "--algo", "rounded", "--epsilon", "1e-5", "--stable"]
+        assert main(argv) == 0
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert '"epsilon": "1/100000"' in capsys.readouterr().out
+
+
+# Building 10**100000000 alone would take minutes, so these run in a
+# fresh interpreter under a timeout.
+@pytest.mark.parametrize("value", ["1e-100000000", "1E+100_000_000"])
+def test_huge_exponent_is_usage_error_at_once(tight_file, value):
+    proc = run_subprocess(["verify", tight_file, "--algo", "rounded", "--epsilon", value])
+    assert proc.returncode == 2
+    assert "error: argument --epsilon" in proc.stderr
+    assert "not a rational number" in proc.stderr
 
 
 def run_subprocess(argv: list[str]) -> subprocess.CompletedProcess:

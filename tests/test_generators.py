@@ -31,7 +31,7 @@ def test_tight_requires_p_at_least_4():
 def test_tight_gap(p, expected_ratio):
     out = solve_primal_dual(gen_tight(p))
     assert out.primal_cost == 4 * p
-    assert out.dual_value == p + 2
+    assert out.dual.value == p + 2
     assert out.ratio == expected_ratio
 
 
@@ -68,7 +68,7 @@ def test_shifted_run_mirrors_base_run():
     # afterwards the run is the base run moved right by the old horizon
     assert tuple(r.t - 16 for r in shifted.trace[2:]) == tuple(r.t for r in base.trace[1:])
     assert shifted.primal_cost == base.primal_cost + 4  # four bumps of delta * p
-    assert shifted.dual_value == base.dual_value + 4  # extra delta * old horizon
+    assert shifted.dual.value == base.dual.value + 4  # extra delta * old horizon
     # the observed gap shrinks by less than the extra certificate value
     assert shifted.ratio >= base.ratio - Fraction(1, 4) * 16
 

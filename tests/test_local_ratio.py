@@ -11,6 +11,7 @@ from kcsched.errors import InfeasibleInstanceError
 from kcsched.generators import RandomSpec, gen_random
 from kcsched.instance import INFEASIBLE, CostFunction, Instance, Job
 from kcsched.local_ratio import (
+    Outcome,
     ResidualCosts,
     decompose,
     lr_trace_to_jsonl,
@@ -144,6 +145,25 @@ def test_requires_no_releases():
     inst = Instance((Job(0, 1, CostFunction(()), 2),))
     with pytest.raises(ValueError):
         solve_local_ratio(inst)
+
+
+@pytest.mark.parametrize("algo", sorted(SOLVERS))
+def test_every_solver_returns_one_outcome(algo):
+    certified = algo in ("pd", "rounded")
+    for seed in range(30):
+        inst = gen_random(RandomSpec(
+            seed=seed, n=seed % 6 + 1, p_max=5, v_max=seed % 3 * 6,
+            kappa=2 if algo == "release" else 1,
+        ))
+        out = SOLVERS[algo](inst)
+        assert isinstance(out, Outcome)
+        assert out.cost == out.schedule.total_cost <= out.assignment_cost
+        assert out.primal_cost == out.cost  # the alias the benchmark replay reads
+        assert (out.dual is not None) == certified
+        assert (out.ratio is not None) == (certified and out.dual.value > 0)
+        if out.ratio is not None:
+            assert out.ratio == Fraction(out.cost) / out.dual.value
+        assert (out.rounded is not None) == (algo == "rounded")
 
 
 def count_calls(monkeypatch, owner, name) -> list:

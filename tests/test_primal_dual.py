@@ -71,7 +71,7 @@ def test_golden_trace(p):
     assert nonzero[0].y == 1
     assert out.due_dates == (3 * p - 1, 3 * p - 1, 4 * p, 4 * p)
     assert out.primal_cost == 4 * p
-    assert out.dual_value == p + 2
+    assert out.dual.value == p + 2
     assert out.ratio == Fraction(4 * p, p + 2)
 
 
@@ -101,7 +101,7 @@ def test_all_zero_costs_solve():
     inst = Instance(tuple(Job(j, 2, CostFunction(())) for j in range(3)))
     out = solve_primal_dual(inst)
     assert out.primal_cost == 0
-    assert out.dual_value == 0
+    assert out.dual.value == 0
     assert out.ratio is None
 
 
@@ -117,14 +117,14 @@ def test_weak_duality_and_factor_small_suite(pair_instance):
     out = solve_primal_dual(pair_instance)
     opt = exact_opt(pair_instance).opt_cost
     assert opt == 3
-    assert out.dual_value <= opt
+    assert out.dual.value <= opt
     for seed in range(60):
         inst = gen_random(RandomSpec(seed=seed, n=seed % 6 + 1, p_max=5, v_max=12))
         out = solve_primal_dual(inst)
         opt = exact_opt(inst).opt_cost
-        assert out.dual_value <= opt <= out.primal_cost
-        if out.dual_value > 0:
-            assert out.primal_cost < 4 * out.dual_value
+        assert out.dual.value <= opt <= out.primal_cost
+        if out.dual.value > 0:
+            assert out.primal_cost < 4 * out.dual.value
 
 
 def test_debug_mode_passes_on_random_instances():

@@ -179,7 +179,7 @@ def test_modified_costs_bracket_on_tight(tight4):
 def test_tiny_epsilon_keeps_every_breakpoint_and_cost(tight4):
     out = solve_rounded(tight4, Fraction(1, 10**6))
     breakpoints = {t for job in tight4.jobs for t in job.cost.times}
-    assert breakpoints <= set(out.partition.points)
+    assert breakpoints <= set(out.rounded.partition.points)
     exact = solve_primal_dual(tight4)
     assert out.primal_cost == exact.primal_cost == 16
     assert out.due_dates == exact.due_dates
@@ -188,7 +188,7 @@ def test_tiny_epsilon_keeps_every_breakpoint_and_cost(tight4):
 def test_zero_costs_rounded():
     inst = Instance(tuple(Job(j, 2, CostFunction(())) for j in range(3)))
     out = solve_rounded(inst, Fraction(1, 2))
-    assert out.primal_cost == 0 and out.dual_value == 0
+    assert out.primal_cost == 0 and out.dual.value == 0
 
 
 def test_snap_left(tight4):
@@ -244,8 +244,8 @@ def test_backward_mapping_feasible_with_equal_cost():
             inst.jobs[j].cost.value_at(out.due_dates[j]) for j in range(inst.n)
         )
         rounded_cost = sum(
-            out.rounded.cost_funcs[j].value_at(out.compressed_due_dates[j])
-            for j in range(inst.n)
+            out.rounded.cost_funcs[j].value_at(snap_left(out.rounded.partition.points, due))
+            for j, due in enumerate(out.due_dates)
         )
         assert mapped_cost == rounded_cost == out.assignment_cost
         sched = edd_schedule(out.due_dates, inst)
@@ -259,8 +259,8 @@ def test_rounded_within_bound_of_oracle():
         for eps in (Fraction(1, 10), Fraction(1)):
             out = solve_rounded(inst, eps)
             assert out.primal_cost <= 4 * (1 + eps) * opt
-            if out.dual_value > 0:
-                assert out.assignment_cost < 4 * out.dual_value
+            if out.dual.value > 0:
+                assert out.assignment_cost < 4 * out.dual.value
 
 
 def test_rounded_solve_is_primal_dual_on_the_rounded_costs():
@@ -275,10 +275,10 @@ def test_rounded_solve_is_primal_dual_on_the_rounded_costs():
             out = solve_rounded(inst, eps)
             pd = solve_primal_dual(out.rounded.instance)
             assert out.due_dates == pd.due_dates
-            assert out.dual == pd.dual and out.dual_value == pd.dual_value
-            points = set(out.partition.points)
-            assert {r.tight_time for r in out.trace} <= points
-            assert set(out.compressed_due_dates) <= points
+            assert out.dual == pd.dual and out.dual.value == pd.dual.value
+            part = out.rounded.partition
+            assert {r.tight_time for r in out.trace} <= set(part.points)
+            assert all(part.right_end(snap_left(part.points, d)) == d for d in out.due_dates)
 
 
 def test_cost_funcs_shims_run_the_rounded_instance():
