@@ -3,7 +3,8 @@
 Primal-dual and local-ratio 4-approximations over a covering relaxation
 with truncated job sizes, an interval-indexed (4 + eps) variant, a
 4-kappa extension for release dates, and exact oracles for desk-scale
-verification.  Every run carries an exact rational dual certificate.
+verification.  The primal-dual and rounded solves carry an exact
+rational dual certificate; every solver's trace is the engine's frames.
 """
 
 from .edd import (
@@ -33,6 +34,7 @@ from .instance import (
     serialize_instance,
 )
 from .local_ratio import (
+    Frame,
     Outcome,
     ResidualCosts,
     decompose,
@@ -44,7 +46,6 @@ from .oracle import OracleResult, exact_opt, exact_opt_release
 from .primal_dual import (
     DualEntry,
     DualSolution,
-    GrowRecord,
     check_charging,
     check_dual_feasible,
     check_primal_feasible,

@@ -137,8 +137,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.with_opt:
         report["opt"] = _oracle_cost(inst)
     if args.trace:
-        write = lr_trace_to_jsonl if outcome.dual is None else trace_to_jsonl
-        Path(args.trace).write_text(write(outcome.trace))
+        if args.algo in ("lr", "release"):
+            text = lr_trace_to_jsonl(outcome.trace, release=args.algo == "release")
+        else:  # rounded tight times print as left ends of the partition intervals
+            points = outcome.rounded.partition.points if outcome.rounded else None
+            text = trace_to_jsonl(outcome.trace, points)
+        Path(args.trace).write_text(text)
         report["trace_path"] = args.trace
     failed = False
     if args.check:
@@ -152,7 +156,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def _compare_one(path: str, with_opt: bool) -> list[dict[str, object]]:
     inst = _load(path)
     algos = ["release"] if inst.has_releases else ["pd", "lr"]
-    opt = _oracle_cost(inst) if with_opt else None
+    try:
+        opt = _oracle_cost(inst) if with_opt else None
+    except SizeLimitError:  # past the oracle's limit: this row's opt is "-"
+        opt = None
     rows = []
     for algo in algos:
         out = _run_algorithm(inst, algo, None)

@@ -287,9 +287,9 @@ def parse_instance(text: str) -> Instance:
         pairs.sort(key=lambda tv: tv[0])
         try:
             cost = CostFunction(tuple(pairs))
-            jobs.append(Job(idx, p, cost, release))
         except InstanceError as exc:
             raise InstanceError(f"job {idx}: {exc}") from exc
+        jobs.append(Job(idx, p, cost, release))  # Job's errors name the job
     return Instance(tuple(jobs))
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 import json
 from bisect import insort
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -54,7 +54,6 @@ if TYPE_CHECKING:
 __all__ = [
     "ResidualCosts",
     "Frame",
-    "LocalRatioRecord",
     "Outcome",
     "decompose",
     "raise_due_dates",
@@ -132,11 +131,11 @@ class ResidualCosts:
 
 @dataclass(frozen=True)
 class Frame:
-    """One raise of the engine: the peak interval [r_star, t_star), its
-    residual demand, the largest scale keeping the remainder
-    nonnegative, the active jobs' weights, the pair that went tight, the
-    raised job's due date before the raise, and every due date at the
-    moment of the split."""
+    """One raise, the record of every solver's trace: the peak interval
+    [r_star, t_star), its residual demand, the largest scale keeping the
+    remainder nonnegative, the active jobs' weights, the tight pair, the
+    raised job's due date before the raise, every due date at the split,
+    and whether the reverse delete kept its undo (None until it runs)."""
 
     t_star: int
     demand: int
@@ -147,6 +146,7 @@ class Frame:
     r_star: int
     old_due: int
     due_snapshot: tuple[int, ...]
+    undo_kept: bool | None = None
 
 
 def decompose(g: ResidualCosts, due: list[int], inst: Instance) -> Frame | None:
@@ -217,10 +217,10 @@ def raise_due_dates(
     return frames, due
 
 
-def reverse_delete(due: list[int], frames: Sequence[Frame], inst: Instance) -> list[bool]:
+def reverse_delete(due: list[int], frames: Sequence[Frame], inst: Instance) -> list[Frame]:
     """Undo the raises of `frames` from the last to the first whenever no
     interval is left with residual demand; `due` ends as the
-    pruned due dates.  Returns whether each undo was kept.
+    pruned due dates.  Returns the frames with each decision in `undo_kept`.
 
     After each decision the charging bound of the paper is asserted for
     that frame: the jobs it could newly cover that still cover its
@@ -239,18 +239,7 @@ def reverse_delete(due: list[int], frames: Sequence[Frame], inst: Instance) -> l
             if not kept[i]:
                 due[job] = time
         _charging_bound(frame, due, 4 * inst.kappa)
-    return kept
-
-
-@dataclass(frozen=True)
-class LocalRatioRecord:
-    depth: int
-    t_star: int
-    alpha: Fraction
-    job: int
-    time: int
-    undo_kept: bool
-    r_star: int | None = None
+    return [replace(f, undo_kept=k) for f, k in zip(frames, kept)]
 
 
 def _charging_bound(frame: Frame, due: list[int], factor: int) -> None:
@@ -264,14 +253,15 @@ def _charging_bound(frame: Frame, due: list[int], factor: int) -> None:
 @dataclass(frozen=True)
 class Outcome:
     """What every solver returns: the due dates, what they cost, their
-    EDD witness and the run's trace.  The primal-dual and rounded solves
-    add their dual and the certified ratio cost / dual (None when the
-    dual is 0); the rounded solve adds the rounded instance it ran on."""
+    EDD witness and the run's trace, its frames with their undo decided.
+    The primal-dual and rounded solves add their dual and the certified
+    ratio cost / dual (None when the dual is 0); the rounded solve adds
+    the rounded instance it ran on."""
 
     due_dates: tuple[int, ...]
     assignment_cost: int
     schedule: Schedule
-    trace: tuple
+    trace: tuple[Frame, ...]
     dual: DualSolution | None = None
     ratio: Fraction | None = None
     rounded: RoundedInstance | None = None
@@ -286,7 +276,7 @@ class Outcome:
 def finish(
     due: Sequence[int],
     inst: Instance,
-    trace: tuple,
+    trace: tuple[Frame, ...],
     dual: DualSolution | None = None,
     rounded: RoundedInstance | None = None,
 ) -> Outcome:
@@ -316,7 +306,7 @@ def solve_local_ratio(inst: Instance, *, debug: bool = False) -> Outcome:
     """Local-ratio 4-approximation for instances without release dates."""
     if inst.has_releases:
         raise ValueError("solve_local_ratio requires an instance without release dates")
-    return _solve(inst, debug=debug, release=False)
+    return solve_release(inst, debug=debug)
 
 
 def solve_release(inst: Instance, *, debug: bool = False) -> Outcome:
@@ -325,39 +315,27 @@ def solve_release(inst: Instance, *, debug: bool = False) -> Outcome:
     Starts from the release-date vector itself (instance validation
     guarantees zero cost there) and raises due dates until no interval
     [r, t) carries residual demand, then undoes raises that feasibility
-    can spare.  The returned schedule is the preemptive EDD witness.
+    can spare, asserting the 4 kappa charging bound per undo.  The
+    returned schedule is the preemptive EDD witness.
     """
-    return _solve(inst, debug=debug, release=True)
-
-
-def _solve(inst: Instance, *, debug: bool, release: bool) -> Outcome:
-    """Engine run on the jobs' costs, reverse delete (which asserts the
-    4 kappa charging bound per undo) and `finish`; release runs keep
-    r_star in the trace.  `debug` turns on the ledger assertions."""
     frames, rho = raise_due_dates(ResidualCosts(inst), inst, debug=debug)
-    kept = reverse_delete(rho, frames, inst)
-    trace = tuple(
-        LocalRatioRecord(
-            depth + 1, f.t_star, f.alpha, f.job, f.time,
-            kept[depth], f.r_star if release else None,
-        )
-        for depth, f in enumerate(frames)
-    )
-    return finish(rho, inst, trace)
+    return finish(rho, inst, tuple(reverse_delete(rho, frames, inst)))
 
 
-def lr_trace_to_jsonl(trace: tuple[LocalRatioRecord, ...]) -> str:
+def lr_trace_to_jsonl(trace: Sequence[Frame], *, release: bool = False) -> str:
+    """Frames as JSON lines with bit-exact rationals, the local-ratio way;
+    `release` adds the left end r_star of each peak interval."""
     lines = []
-    for r in trace:
+    for depth, f in enumerate(trace, 1):
         doc = {
-            "depth": r.depth,
-            "t_star": r.t_star,
-            "alpha": f"{r.alpha.numerator}/{r.alpha.denominator}",
-            "job": r.job,
-            "s": r.time,
-            "undo_kept": r.undo_kept,
+            "depth": depth,
+            "t_star": f.t_star,
+            "alpha": f"{f.alpha.numerator}/{f.alpha.denominator}",
+            "job": f.job,
+            "s": f.time,
+            "undo_kept": f.undo_kept,
         }
-        if r.r_star is not None:
-            doc["r_star"] = r.r_star
+        if release:
+            doc["r_star"] = f.r_star
         lines.append(json.dumps(doc, separators=(",", ":")))
     return "\n".join(lines) + ("\n" if lines else "")

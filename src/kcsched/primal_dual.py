@@ -39,7 +39,6 @@ from .local_ratio import Frame, Outcome, ResidualCosts, finish, raise_due_dates,
 __all__ = [
     "DualEntry",
     "DualSolution",
-    "GrowRecord",
     "grow",
     "prune",
     "solve_primal_dual",
@@ -78,23 +77,6 @@ class DualSolution:
         return cls(tuple(entries), value)
 
 
-@dataclass(frozen=True)
-class GrowRecord:
-    """Per-iteration trace: selected time, set snapshot, residual demand,
-    dual increase, and the pair that became tight."""
-
-    k: int
-    t: int
-    covered: JobSet
-    demand: int
-    alpha: Fraction
-    tight_job: int
-    tight_time: int
-
-
-GrowTrace = tuple[GrowRecord, ...]
-
-
 @dataclass
 class GrowState:
     """Mutable growing-phase state.
@@ -102,8 +84,9 @@ class GrowState:
     Committed pairs are nested per job (a pair at time t puts the job in
     every covered set up to t), so membership reduces to one frontier
     per job: the largest committed time.  Each engine frame commits the
-    pair (frame.job, frame.time) over the frontier frame.old_due.
-    `times` is the grid on which the records and `prune` report times.
+    pair (frame.job, frame.time) over the frontier frame.old_due, and
+    `prune` records its undo decision in the frame.  `times` is the grid
+    on which `prune` reports due dates.
     """
 
     frontier: list[int]
@@ -117,21 +100,23 @@ def grow(
     times: Sequence[int] | None = None,
     cost_funcs: list[CostFunction] | None = None,
     debug: bool = False,
-) -> tuple[GrowState, DualSolution, GrowTrace]:
+) -> tuple[GrowState, DualSolution, tuple[Frame, ...]]:
     """Dual growing phase: the local-ratio engine read as a dual ascent.
 
     Each iteration picks the time with the largest residual demand
     (ties to the largest time), raises its dual variable until some
     constraint with a finite right-hand side becomes tight, and commits
     the tight (job, time) pair with the largest time, then smallest id.
-    Terminates when every residual demand is zero.  `debug` turns on the
-    engine's ledger assertions and checks the final dual, which bounds
-    every prefix; the prefixes are scanned only to name a failure.
+    Terminates when every residual demand is zero.  The trace is the
+    engine's frames.  `debug` turns on the engine's ledger assertions
+    and checks the final dual, which bounds every prefix; the prefixes
+    are scanned only to name a failure.
 
     A sorted grid `times` that starts at 1 and holds every breakpoint of
     the costs keeps them constant on its intervals, so every peak time
     is a grid point and every raise lands on an interval's right end;
-    the records and `prune` report each time as its interval's left end.
+    `prune` reports each due date as its interval's left end, and so
+    does `trace_to_jsonl` for each tight time, given the grid.
     `cost_funcs` runs the engine on the jobs of `inst` with those costs
     instead of their own.
     """
@@ -145,43 +130,32 @@ def grow(
     if 1 not in times[:1] or any(snap_left(times, b) != b for f in g.base for b in f.times):
         raise ValueError("grow needs a grid that starts at 1 and holds every cost breakpoint")
     frames, frontier = raise_due_dates(g, inst, debug=debug)
-    entries: list[DualEntry] = []
-    records: list[GrowRecord] = []
-    for f in frames:
-        covered = JobSet.from_ids(
-            (j for j, due in enumerate(f.due_snapshot) if due >= f.t_star), inst
-        )
-        entries.append(DualEntry(f.t_star, covered, f.alpha))
-        tight = snap_left(times, f.time)
-        records.append(
-            GrowRecord(len(records) + 1, f.t_star, covered, f.demand, f.alpha, f.job, tight)
-        )
-    if debug:
-        # With every alpha >= 0, each left side only grows with the
-        # prefix, so every prefix is feasible iff the full dual is.  The
-        # prefixes are scanned only to name the first infeasible one.
-        for k, e in enumerate(entries, 1):
-            assert e.y >= 0, f"negative dual step {e.y} at iteration {k}"
+    entries = [DualEntry(f.t_star, JobSet.from_ids(_covered(f), inst), f.alpha) for f in frames]
+    dual = DualSolution.from_entries(entries, inst)
+    if debug and not check_dual_feasible(dual, inst).feasible:
+        # The checker rejects negative entries and a nonnegative one only
+        # raises left sides, so a prefix is feasible iff the full dual is;
+        # the prefixes are scanned only to name the first infeasible one.
+        for k in range(1, len(entries) + 1):
+            report = check_dual_feasible(DualSolution.from_entries(entries[:k], inst), inst)
+            if not report.feasible:  # raised explicitly: kept under python -O
+                raise AssertionError(f"dual infeasible after iteration {k}: {report.violation}")
+    return GrowState(frontier, frames, times), dual, tuple(frames)
 
-        def prefix_report(k: int) -> DualFeasibilityReport:
-            dual = DualSolution.from_entries(entries[:k], inst)
-            return check_dual_feasible(dual, inst)
 
-        if not prefix_report(len(entries)).feasible:
-            for k in range(1, len(entries) + 1):
-                report = prefix_report(k)
-                assert report.feasible, f"dual infeasible after iteration {k}: {report.violation}"
-    state = GrowState(frontier, frames, times)
-    return state, DualSolution.from_entries(entries, inst), tuple(records)
+def _covered(frame: Frame) -> list[int]:
+    """The committed set A of a frame: the jobs due at or after its peak."""
+    return [j for j, due in enumerate(frame.due_snapshot) if due >= frame.t_star]
 
 
 def prune(state: GrowState, inst: Instance) -> tuple[int, ...]:
     """Reverse-delete: drop committed pairs whose removal keeps every
     demand covered; each job ends up with exactly one due date, reported
     as the left endpoint of its interval on the grid of `state`.  The
-    engine's reverse delete asserts the charging bound per undo."""
+    engine's reverse delete asserts the charging bound per undo, and the
+    frames of `state` take its decisions."""
     due = list(state.frontier)
-    reverse_delete(due, state.frames, inst)
+    state.frames = reverse_delete(due, state.frames, inst)
     assert all(d >= 1 for d in due), "pruning must leave exactly one pair per job"
     assert peak_demand(due, inst)[0] == 0
     return tuple(snap_left(state.times, d) for d in due)
@@ -193,9 +167,11 @@ def snap_left(points: Sequence[int], t: int) -> int:
 
 
 def solve_primal_dual(inst: Instance, *, debug: bool = False) -> Outcome:
-    """Run growing, pruning, and EDD; `finish` asserts the 4x certificate."""
-    state, dual, trace = grow(inst, debug=debug)
-    return finish(prune(state, inst), inst, trace, dual)
+    """Run growing, pruning, and EDD; `finish` asserts the 4x certificate.
+    The trace is the frames as pruning decided them."""
+    state, dual, _ = grow(inst, debug=debug)
+    due = prune(state, inst)
+    return finish(due, inst, tuple(state.frames), dual)
 
 
 # ---------------------------------------------------------------------------
@@ -206,21 +182,27 @@ def solve_primal_dual(inst: Instance, *, debug: bool = False) -> Outcome:
 @dataclass(frozen=True)
 class DualFeasibilityReport:
     feasible: bool
-    violation: tuple[int, int, Fraction, Cost] | None = None  # (job, s, lhs, rhs)
+    # (job, s, lhs, rhs) for a violated constraint, or (t, y) for a negative entry
+    violation: tuple[int, int, Fraction, Cost] | tuple[int, Fraction] | None = None
 
 
 def check_dual_feasible(dual: DualSolution, inst: Instance) -> DualFeasibilityReport:
     """Verify every dual constraint with exact rationals.
 
-    For each job j and time s in 1..T, the weighted sum of raised duals
-    whose time is at most s and whose set excludes j must stay at or
-    below the job's cost at s; infeasible right-hand sides are vacuous.
-    Reports the first violation in (job, s) scan order.
+    Every dual variable must be nonnegative; the first entry with y < 0
+    is reported as (t, y).  Then, for each job j and time s in 1..T, the
+    weighted sum of raised duals whose time is at most s and whose set
+    excludes j must stay at or below the job's cost at s; infeasible
+    right-hand sides are vacuous.  Reports the first violation in
+    (job, s) scan order.
 
     The left side only changes at a dual entry time, and the cost is
     nonnegative and never falls.  So a violation at s also holds at the
     last entry time at or before s, and only entry times are visited.
     """
+    for e in dual.entries:
+        if e.y < 0:
+            return DualFeasibilityReport(False, (e.t, e.y))
     for j in range(inst.n):
         events = sorted(
             (e.t, e.y * min(inst.jobs[j].p, residual_demand(e.t, e.covered, inst)))
@@ -328,21 +310,22 @@ def check_charging(
     return ChargingReport(True)
 
 
-def trace_to_jsonl(trace: GrowTrace) -> str:
-    """Growing-phase trace as JSON lines with bit-exact rationals."""
+def trace_to_jsonl(trace: Sequence[Frame], points: Sequence[int] | None = None) -> str:
+    """Frames as JSON lines with bit-exact rationals, the growing-phase
+    way; given grid `points`, tight times print as interval left ends."""
     lines = [
         json.dumps(
             {
-                "k": r.k,
-                "t": r.t,
-                "A": list(r.covered.ids()),
-                "D": r.demand,
-                "alpha": f"{r.alpha.numerator}/{r.alpha.denominator}",
-                "tight_job": r.tight_job,
-                "tight_time": r.tight_time,
+                "k": k,
+                "t": f.t_star,
+                "A": _covered(f),
+                "D": f.demand,
+                "alpha": f"{f.alpha.numerator}/{f.alpha.denominator}",
+                "tight_job": f.job,
+                "tight_time": f.time if points is None else snap_left(points, f.time),
             },
             separators=(",", ":"),
         )
-        for r in trace
+        for k, f in enumerate(trace, 1)
     ]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -134,15 +134,16 @@ def solve_rounded(
     """Primal-dual solve on the rounded instance, the paper's reduction.
 
     The engine's due dates are interval right ends, where the base cost
-    equals the rounded cost paid; the trace gives interval left ends.
+    equals the rounded cost paid, and so are the tight times of its
+    trace; `trace_to_jsonl` given the partition points prints left ends.
     The schedule costs at most four times the rounded dual, itself
     within 1 + epsilon of certifying the optimum.
     """
     partition = build_partition(inst, epsilon)
     rounded = RoundedInstance(inst, partition)
-    state, dual, trace = grow(rounded.instance, times=partition.points, debug=debug)
+    state, dual, _ = grow(rounded.instance, times=partition.points, debug=debug)
     compressed = prune(state, rounded.instance)
     due = tuple(partition.right_end(t) for t in compressed)
     for j, job in enumerate(rounded.instance.jobs):
         assert job.cost.value_at(compressed[j]) == inst.jobs[j].cost.value_at(due[j])
-    return finish(due, inst, trace, dual, rounded)
+    return finish(due, inst, tuple(state.frames), dual, rounded)

@@ -101,18 +101,18 @@ def test_criterion_2_golden_trace():
         p = 4
         out = solve_primal_dual(gen_tight(p))
         assert len(out.trace) == 7
-        assert tuple(r.t for r in out.trace) == (1, 1, 1, 3 * p - 1, p, 1, 3 * p)
+        assert tuple(r.t_star for r in out.trace) == (1, 1, 1, 3 * p - 1, p, 1, 3 * p)
         assert tuple(r.demand for r in out.trace) == (
             4 * p, 3 * p, 2 * p, p + 2, p + 1, p, 1,
         )
         assert tuple(r.alpha for r in out.trace) == (0, 0, 0, 1, 0, 0, 0)
-        assert tuple(r.tight_time for r in out.trace) == (
+        assert tuple(r.time for r in out.trace) == (
             3 * p - 2, 3 * p - 2, p - 1, 4 * p, 3 * p - 1, 3 * p - 1, 4 * p,
         )
-        assert tuple(r.tight_job for r in out.trace) == (2, 3, 0, 2, 0, 1, 3)
+        assert tuple(r.job for r in out.trace) == (2, 3, 0, 2, 0, 1, 3)
         # same twin-class pattern as any valid resolution of the ties:
         # late-free twins {2,3} at steps 1,2,4,7 and early-free {0,1} at 3,5,6
-        classes = tuple("late" if r.tight_job >= 2 else "early" for r in out.trace)
+        classes = tuple("late" if r.job >= 2 else "early" for r in out.trace)
         assert classes == ("late", "late", "early", "late", "early", "early", "late")
         nonzero = [e for e in out.dual.entries if e.y > 0]
         assert len(nonzero) == 1

@@ -190,6 +190,21 @@ def test_malformed_instance_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "job, message",
+    [
+        ('{"p":0}', "error: job 0: p must be a positive integer, got 0\n"),
+        ('{"p":1,"release":-1}', "error: job 0: release must be a nonnegative integer\n"),
+        ('{"p":1,"cost":[[1,4],[2,3]]}', "error: job 0: cost not nondecreasing\n"),
+    ],
+)
+def test_invalid_job_is_named_once(capsys, tmp_path, job, message):
+    path = tmp_path / "job.json"
+    path.write_text(f'{{"jobs":[{job}]}}')
+    code, _, err = run(capsys, ["solve", str(path)])
+    assert (code, err) == (2, message)
+
+
 def test_deeply_nested_json_is_usage_error(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200_000)

@@ -61,12 +61,14 @@ def test_shifted_run_mirrors_base_run():
     base = solve_primal_dual(gen_tight(4))
     shifted = solve_primal_dual(gen_tight_shifted(4, Fraction(1, 4)))
     # dummy assigned to the old horizon in the first step
-    assert shifted.trace[0].tight_job == 4
-    assert shifted.trace[0].tight_time == 16
+    assert shifted.trace[0].job == 4
+    assert shifted.trace[0].time == 16
     # second step pays exactly delta on the shifted copy
     assert shifted.trace[1].alpha == Fraction(1, 4)
     # afterwards the run is the base run moved right by the old horizon
-    assert tuple(r.t - 16 for r in shifted.trace[2:]) == tuple(r.t for r in base.trace[1:])
+    assert tuple(r.t_star - 16 for r in shifted.trace[2:]) == tuple(
+        r.t_star for r in base.trace[1:]
+    )
     assert shifted.primal_cost == base.primal_cost + 4  # four bumps of delta * p
     assert shifted.dual.value == base.dual.value + 4  # extra delta * old horizon
     # the observed gap shrinks by less than the extra certificate value

@@ -11,8 +11,10 @@ tests/data/golden; the trace is written to the relative path
 fresh `python -O` interpreter, which must print the same bytes.  The
 `compare` goldens name their instances by paths relative to that
 directory: `compare-with-opt.tsv` holds the pd and rounded cases with
-`--with-opt`, and `compare-release.tsv` the release cases, which are
-past the release oracle's size limit.
+`--with-opt`, `compare-release.tsv` the release cases, which are
+past the release oracle's size limit, and `compare-opt-past-limit.tsv`
+one pd and one release case with `--with-opt`, where only the release
+row's `opt` is `-`.
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ COMPARE = {
         "--with-opt", *(f"{c}.json" for c in CASES if c.startswith(("pd-", "rounded-seed")))
     ],
     "compare-release.tsv": [f"{c}.json" for c in CASES if c.startswith("release-")],
+    "compare-opt-past-limit.tsv": ["--with-opt", "pd-seed3.json", "release-seed3.json"],
 }
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -117,7 +118,7 @@ def test_solve_vs_oracle_randoms():
 
 def test_schemes_are_identical():
     # primal-dual, local ratio and the release-date solver at kappa = 1 are
-    # one algorithm: same due dates and the same (t, job, time, alpha) steps
+    # one algorithm: the same due dates and the same frames
     for seed in range(30):
         inst = gen_random(RandomSpec(seed=seed, n=seed % 5 + 2, p_max=4, v_max=9))
         opt = exact_opt(inst).opt_cost
@@ -127,18 +128,18 @@ def test_schemes_are_identical():
         assert pd.primal_cost <= 4 * opt
         assert lr.assignment_cost <= 4 * opt
         assert pd.due_dates == lr.due_dates == rel.due_dates
-        steps = [(r.t, r.tight_job, r.tight_time, r.alpha) for r in pd.trace]
-        assert steps == [(r.t_star, r.job, r.time, r.alpha) for r in lr.trace]
-        assert steps == [(r.t_star, r.job, r.time, r.alpha) for r in rel.trace]
+        assert pd.trace == lr.trace == rel.trace
 
 
 def test_trace_records_and_export(tight4):
     out = solve_local_ratio(tight4)
-    assert [r.depth for r in out.trace] == list(range(1, len(out.trace) + 1))
+    assert all(isinstance(r.undo_kept, bool) for r in out.trace)
     lines = lr_trace_to_jsonl(out.trace).splitlines()
-    assert len(lines) == len(out.trace)
+    assert [json.loads(line)["depth"] for line in lines] == list(range(1, len(out.trace) + 1))
     assert '"undo_kept"' in lines[0]
     assert '"r_star"' not in lines[0]
+    released = lr_trace_to_jsonl(out.trace, release=True).splitlines()
+    assert [json.loads(line)["r_star"] for line in released] == [r.r_star for r in out.trace]
 
 
 def test_requires_no_releases():

@@ -13,7 +13,15 @@ from kcsched import primal_dual
 from kcsched.edd import feasible_assignment
 from kcsched.errors import InfeasibleInstanceError
 from kcsched.generators import RandomSpec, gen_random, gen_tight
-from kcsched.instance import INFEASIBLE, CostFunction, Instance, Job, JobSet, residual_demand
+from kcsched.instance import (
+    INFEASIBLE,
+    CostFunction,
+    Instance,
+    Job,
+    JobSet,
+    parse_instance,
+    residual_demand,
+)
 from kcsched.oracle import exact_opt
 from kcsched.primal_dual import (
     DualEntry,
@@ -59,11 +67,11 @@ def test_golden_trace(p):
     inst = gen_tight(p)
     out = solve_primal_dual(inst)
     exp = expected_tight_trace(p)
-    assert tuple(r.t for r in out.trace) == exp["times"]
+    assert tuple(r.t_star for r in out.trace) == exp["times"]
     assert tuple(r.demand for r in out.trace) == exp["demands"]
     assert tuple(r.alpha for r in out.trace) == exp["alphas"]
-    assert tuple(r.tight_job for r in out.trace) == exp["jobs"]
-    assert tuple(r.tight_time for r in out.trace) == exp["assign_times"]
+    assert tuple(r.job for r in out.trace) == exp["jobs"]
+    assert tuple(r.time for r in out.trace) == exp["assign_times"]
     nonzero = [e for e in out.dual.entries if e.y > 0]
     assert len(nonzero) == 1
     assert nonzero[0].t == 3 * p - 1
@@ -91,7 +99,7 @@ def test_grow_single_zero_cost_job():
     inst = Instance((Job(0, 1, CostFunction(())),))
     state, dual, trace = grow(inst)
     assert len(trace) == 1
-    assert trace[0].t == 1 and trace[0].alpha == 0
+    assert trace[0].t_star == 1 and trace[0].alpha == 0
     assert committed_pairs(state) == [(0, 1, 0)]
     assert dual.value == 0
     assert prune(state, inst) == (1,)
@@ -185,7 +193,8 @@ def test_grow_grid_must_start_at_1_and_hold_every_breakpoint(tight4):
             grow(tight4, times=times)
     grid = (1, 4, 8, 11, 12)
     state, _, trace = grow(tight4, times=grid)
-    assert {r.tight_time for r in trace} <= set(grid)
+    # every raise lands on the right end of a grid interval
+    assert {r.time + 1 for r in trace} <= {*grid, tight4.horizon + 1}
     assert set(prune(state, tight4)) <= set(grid)
 
 
@@ -246,6 +255,26 @@ def test_check_dual_flags_perturbed_constraint():
     assert report.violation == (0, 1, Fraction(3), 2)
 
 
+def test_check_dual_rejects_a_negative_entry():
+    # a negative entry cancels the constraint the positive one violates,
+    # so without the sign check a dual worth 1000 against an OPT of 20
+    # would pass
+    inst = parse_instance(
+        '{"jobs":[{"p":1,"cost":[[2,"INF"]]},{"p":5,"cost":[[1,10]]},{"p":5,"cost":[[1,10]]}]}'
+    )
+    dual = DualSolution.from_entries(
+        [
+            DualEntry(2, JobSet.from_ids([], inst), Fraction(1000)),
+            DualEntry(2, JobSet.from_ids([0], inst), Fraction(-1000)),
+        ],
+        inst,
+    )
+    assert dual.value == 1000 and exact_opt(inst).opt_cost == 20
+    report = check_dual_feasible(dual, inst)
+    assert not report.feasible
+    assert report.violation == (2, Fraction(-1000))
+
+
 def test_check_primal_examples(tight4):
     out = solve_primal_dual(tight4)
     assert check_primal_feasible(out.due_dates, tight4, dual=out.dual).feasible
@@ -301,7 +330,11 @@ def test_check_primal_base_coverage_decides_every_truncated_inequality():
 
 
 def dense_dual_report(dual, inst):
-    """Dense oracle for `check_dual_feasible`: every time 1..T of every job."""
+    """Dense oracle for `check_dual_feasible`: the first negative entry,
+    then every time 1..T of every job."""
+    for e in dual.entries:
+        if e.y < 0:
+            return DualFeasibilityReport(False, (e.t, e.y))
     for j in range(inst.n):
         events = sorted(
             (e.t, e.y * min(inst.jobs[j].p, residual_demand(e.t, e.covered, inst)))

@@ -276,8 +276,8 @@ def test_rounded_solve_is_primal_dual_on_the_rounded_costs():
             pd = solve_primal_dual(out.rounded.instance)
             assert out.due_dates == pd.due_dates
             assert out.dual == pd.dual and out.dual.value == pd.dual.value
+            assert out.trace == pd.trace
             part = out.rounded.partition
-            assert {r.tight_time for r in out.trace} <= set(part.points)
             assert all(part.right_end(snap_left(part.points, d)) == d for d in out.due_dates)
 
 
